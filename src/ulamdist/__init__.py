@@ -18,7 +18,6 @@ from .census import (
 from .injections import (
     RankInjection,
     hook_inject,
-    hook_injection,
     lift,
     protected_inject,
     two_row_inject,

@@ -36,8 +36,9 @@ from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import injections, paths, permutations, tableaux
 from .permutations import Perm
@@ -119,9 +120,13 @@ def enumeration_cap(label: str) -> int:
     return caps[canonical]
 
 
-def _check_budget(label: str, n: int, cap: Optional[int]) -> None:
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _check_budget(label: str, n: int, cap: Optional[int]) -> None:
+    _check_n(n)
     limit = enumeration_cap(label) if cap is None else cap
     if n > limit:
         raise BudgetError(
@@ -130,12 +135,20 @@ def _check_budget(label: str, n: int, cap: Optional[int]) -> None:
         )
 
 
+def _check_lm(canonical: str, lm: Optional[tuple[int, int]]) -> None:
+    if canonical == "protected":
+        if lm is None:
+            raise ValueError("class 'protected' requires the lm parameter")
+    elif lm is not None:
+        raise ValueError(f"class {canonical!r} takes no lm parameter")
+
+
 # ---------------------------------------------------------------------------
 # Generators
 
 
-def involutions(n: int, first: Optional[int] = None) -> Iterator[Perm]:
-    """All involutions of length n, optionally with a fixed first entry."""
+def involutions(n: int) -> Iterator[Perm]:
+    """All involutions of length n."""
     word = [0] * (n + 1)
 
     def rec(i: int) -> Iterator[Perm]:
@@ -153,10 +166,7 @@ def involutions(n: int, first: Optional[int] = None) -> Iterator[Perm]:
                 yield from rec(i + 1)
                 word[i] = word[j] = 0
 
-    if first is None:
-        yield from rec(1)
-    else:
-        yield from (p for p in rec(1) if p[0] == first)
+    yield from rec(1)
 
 
 def _permutations_of(n: int, first: Optional[int]) -> Iterator[Perm]:
@@ -192,40 +202,29 @@ def enumerate_class(
     n: int,
     *,
     lm: Optional[tuple[int, int]] = None,
-    first_entry: Optional[int] = None,
     cap: Optional[int] = None,
 ) -> Iterator[Perm] | Iterator[Tableau]:
-    """Yield every member of a class exactly once.
-
-    ``first_entry`` restricts permutation classes to words starting with
-    that value, giving a deterministic partition for parallel sweeps.
-    """
+    """Yield every member of a class exactly once."""
     canonical = resolve_label(label)
     _check_budget(canonical, n, cap)
-    if canonical == "protected":
-        if lm is None:
-            raise ValueError("class 'protected' requires the lm parameter")
-    elif lm is not None:
-        raise ValueError(f"class {canonical!r} takes no lm parameter")
-    if first_entry is not None and canonical not in _PERM_LABELS:
-        raise ValueError(f"class {canonical!r} cannot partition by first entry")
+    _check_lm(canonical, lm)
 
     if canonical == "all_permutations":
-        return _permutations_of(n, first_entry)
+        return _permutations_of(n, None)
     if canonical == "involutions":
-        return involutions(n, first_entry)
+        return involutions(n)
     if canonical == "two_row_involutions":
-        return (p for p in involutions(n, first_entry) if permutations.lds_length(p) <= 2)
+        return (p for p in involutions(n) if permutations.lds_length(p) <= 2)
     if canonical == "avoid321_permutations":
-        return (p for p in _permutations_of(n, first_entry) if permutations.lds_length(p) <= 2)
+        return (p for p in _permutations_of(n, None) if permutations.lds_length(p) <= 2)
     if canonical == "hook_pair_permutations":
         return (
             p
-            for p in _permutations_of(n, first_entry)
+            for p in _permutations_of(n, None)
             if permutations.lis_length(p) + permutations.lds_length(p) == n + 1
         )
     if canonical == "skew_merged_involutions":
-        return (p for p in involutions(n, first_entry) if permutations.is_skew_merged(p))
+        return (p for p in involutions(n) if permutations.is_skew_merged(p))
     if canonical == "hooks":
         return tableaux.hook_tableaux(n)
     if canonical == "two_row_tableaux":
@@ -306,12 +305,10 @@ def _sweep_worker(args: tuple[str, int, int]) -> Counter:
     return _sweep_counts(label, n, first)
 
 
-def _stat_counts(
-    label: str, n: int, lm: Optional[tuple[int, int]], first: Optional[int]
-) -> Counter:
+def _stat_counts(label: str, n: int, lm: Optional[tuple[int, int]]) -> Counter:
     if label in _FULL_SWEEP_LABELS:
-        return _sweep_counts(label, n, first)
-    members = enumerate_class(label, n, lm=lm, first_entry=first, cap=n)
+        return _sweep_counts(label, n, None)
+    members = enumerate_class(label, n, lm=lm, cap=n)
     counts: Counter = Counter()
     if label in _PERM_LABELS:
         for p in members:
@@ -338,6 +335,7 @@ def sequence(
     """
     canonical = resolve_label(label)
     _check_budget(canonical, n, cap)
+    _check_lm(canonical, lm)
     if jobs and jobs > 1 and canonical in _FULL_SWEEP_LABELS and n > 1:
         args = [(canonical, n, first) for first in range(1, n + 1)]
         total: Counter = Counter()
@@ -345,7 +343,7 @@ def sequence(
             for part in pool.map(_sweep_worker, args):
                 total.update(part)
         return _make_sequence(canonical, n, total)
-    return _make_sequence(canonical, n, _stat_counts(canonical, n, lm, None))
+    return _make_sequence(canonical, n, _stat_counts(canonical, n, lm))
 
 
 def sequence_csv(seq: ClassSequence) -> str:
@@ -392,6 +390,7 @@ def lis_counts_by_shape(n: int) -> ClassSequence:
     sum of squared tableau counts over shapes with first row k.  Used as a
     cross-checked accelerator; exhaustive enumeration stays the reference.
     """
+    _check_n(n)
     counts: Counter = Counter()
     for shape in tableaux.partitions(n):
         counts[shape[0]] += count_standard_tableaux(shape) ** 2
@@ -400,6 +399,7 @@ def lis_counts_by_shape(n: int) -> ClassSequence:
 
 def involution_counts_by_shape(n: int) -> ClassSequence:
     """Shape-wise counterpart of ``sequence("involutions", n)``."""
+    _check_n(n)
     counts: Counter = Counter()
     for shape in tableaux.partitions(n):
         counts[shape[0]] += count_standard_tableaux(shape)
@@ -418,8 +418,7 @@ def closed_form(label: str, n: int, k: Optional[int] = None) -> int:
     the class support yields 0.
     """
     canonical = resolve_label(label)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
 
     if canonical == "hooks":
         if k is None:
@@ -555,200 +554,75 @@ class InjectionReport:
         }
 
 
-def _hook_injection_report(n: int, k_filter: Optional[int]) -> InjectionReport:
-    witnesses = []
+def _check_injection(
+    blocks: Iterable[tuple[int, list, list]],
+    f: Callable,
+    in_codomain: Callable,
+    check: Optional[tuple[str, Callable]] = None,
+    prefix: str = "",
+    quote: Callable = str,
+) -> tuple[int, bool, bool, bool, list[str]]:
+    """Apply ``f(k, a, b)`` to every pair of every ``(k, lefts, rights)``
+    block and check each image pair (u, v), in this order:
+
+    1. ``in_codomain(k, u)`` and ``in_codomain(k, v)``;
+    2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``,
+       where a ValueError counts as a failure (a map that leaves the
+       codomain can hand the check an image it cannot read);
+    3. no earlier pair of the same block has the same image.
+
+    Returns the number of pairs, whether the map was injective, whether
+    the images lay in the codomain, whether the named check held, and the
+    witnesses, each formatted only when a check fails.  The earlier pair of
+    a collision is shown as ``(quote(a), quote(b))``.
+    """
+    name, holds = check if check is not None else ("", None)
     domain = 0
-    codomain_ok = True
-    type_preserved = True
-    injective = True
-    ks = [k_filter] if k_filter is not None else list(range(1, n - 1))
-    for k in ks:
-        lefts = list(tableaux.hook_tableaux(n, k))
-        rights = list(tableaux.hook_tableaux(n, k + 2))
-        seen: dict = {}
-        for t1 in lefts:
-            for t2 in rights:
-                u1, u2 = injections.hook_inject(n, k, k + 2, t1, t2)
-                domain += 1
-                if not (
-                    tableaux.is_hook(u1)
-                    and tableaux.is_hook(u2)
-                    and u1.n == u2.n == n
-                    and len(u1.rows[0]) == len(u2.rows[0]) == k + 1
-                ):
-                    codomain_ok = False
-                    witnesses.append(f"codomain: ({t1}, {t2}) -> ({u1}, {u2})")
-                if injections.pair_type(u1, u2) != injections.pair_type(t1, t2):
-                    type_preserved = False
-                    witnesses.append(f"type: ({t1}, {t2}) -> ({u1}, {u2})")
-                key = (u1, u2)
-                if key in seen:
-                    injective = False
-                    witnesses.append(f"collision: {seen[key]} and ({t1}, {t2})")
-                else:
-                    seen[key] = (str(t1), str(t2))
-    return InjectionReport(
-        "hook", n, k_filter, domain, injective, codomain_ok,
-        type_preserved, None, tuple(witnesses),
-    )
-
-
-def _flip_injection_report(n: int, k_filter: Optional[int]) -> InjectionReport:
-    witnesses = []
-    domain = 0
-    codomain_ok = True
-    preimage_ok = True
-    injective = True
-    lo = (n + 1) // 2
-    ks = [k_filter] if k_filter is not None else list(range(lo, n - 1))
-    for k in ks:
-        lefts = list(paths.lattice_paths(n, k))
-        rights = list(paths.lattice_paths(n, k + 2))
-        seen: dict = {}
-        for p in lefts:
-            for q in rights:
-                r, s = paths.flip_inject(p, q)
-                domain += 1
-                if not (r.n == s.n == n and r.east == s.east == k + 1):
-                    codomain_ok = False
-                    witnesses.append(f"codomain: ({p}, {q}) -> ({r}, {s})")
-                if paths.flip_preimage(r, s) != (p, q):
-                    preimage_ok = False
-                    witnesses.append(f"preimage: ({p}, {q}) -> ({r}, {s})")
-                key = (r, s)
-                if key in seen:
-                    injective = False
-                    witnesses.append(f"collision: {seen[key]} and ({p}, {q})")
-                else:
-                    seen[key] = (str(p), str(q))
-    return InjectionReport(
-        "flip", n, k_filter, domain, injective, codomain_ok,
-        None, preimage_ok, tuple(witnesses),
-    )
-
-
-def _protected_injection_report(
-    n: int, k_filter: Optional[int], lm: tuple[int, int]
-) -> InjectionReport:
-    l, m = lm
-    witnesses = []
-    domain = 0
-    codomain_ok = True
-    injective = True
-    by_k: dict[int, list[Tableau]] = {}
-    for t in enumerate_class("protected", n, lm=lm):
-        by_k.setdefault(len(t.rows[0]), []).append(t)
-    ks = [k_filter] if k_filter is not None else sorted(by_k)
-    for k in ks:
-        lefts = by_k.get(k - 1, [])
-        rights = by_k.get(k + 1, [])
-        seen: dict = {}
-        for t1 in lefts:
-            for t2 in rights:
-                u1, u2 = injections.protected_inject(n, k, l, m, t1, t2)
-                domain += 1
-                if not all(
-                    tableaux.is_lm_protected(u, l, m) and len(u.rows[0]) == k
-                    for u in (u1, u2)
-                ):
-                    codomain_ok = False
-                    witnesses.append(f"codomain: ({t1}, {t2}) -> ({u1}, {u2})")
-                key = (u1, u2)
-                if key in seen:
-                    injective = False
-                    witnesses.append(f"collision: {seen[key]} and ({t1}, {t2})")
-                else:
-                    seen[key] = (str(t1), str(t2))
-    return InjectionReport(
-        "protected", n, k_filter, domain, injective, codomain_ok,
-        None, None, tuple(witnesses),
-    )
-
-
-def _lift_report_for_class(
-    kind: str,
-    n: int,
-    k_filter: Optional[int],
-    members: Iterable[Perm],
-    member_of_class,
-    inj_for_k,
-) -> tuple[int, bool, bool, list[str]]:
-    by_k: dict[int, list[Perm]] = {}
-    for p in members:
-        by_k.setdefault(permutations.lis_length(p), []).append(p)
-    domain = 0
-    injective = True
-    codomain_ok = True
+    injective = codomain_ok = check_ok = True
     witnesses: list[str] = []
-    ks = [k_filter] if k_filter is not None else sorted(by_k)
-    for k in ks:
-        lefts = by_k.get(k - 1, [])
-        rights = by_k.get(k + 1, [])
-        if not lefts or not rights:
-            continue
-        inj = inj_for_k(k)
-        if inj is None:
-            continue
+    for k, lefts, rights in blocks:
         seen: dict = {}
-        for p1 in lefts:
-            for p2 in rights:
-                w1, w2 = injections.lift(inj, p1, p2)
+        for a in lefts:
+            for b in rights:
+                u, v = f(k, a, b)
                 domain += 1
-                if not all(
-                    member_of_class(w) and permutations.lis_length(w) == k
-                    for w in (w1, w2)
-                ):
+                if not (in_codomain(k, u) and in_codomain(k, v)):
                     codomain_ok = False
-                    witnesses.append(f"{kind} codomain: ({p1}, {p2}) -> ({w1}, {w2})")
-                key = (w1, w2)
-                if key in seen:
-                    injective = False
-                    witnesses.append(f"{kind} collision: {seen[key]} and ({p1}, {p2})")
+                    witnesses.append(f"{prefix}codomain: ({a}, {b}) -> ({u}, {v})")
+                if holds is not None:
+                    try:
+                        held = holds(a, b, u, v)
+                    except ValueError:
+                        held = False
+                    if not held:
+                        check_ok = False
+                        witnesses.append(f"{name}: ({a}, {b}) -> ({u}, {v})")
+                key = (u, v)
+                earlier = seen.get(key)
+                if earlier is None:
+                    seen[key] = (a, b)
                 else:
-                    seen[key] = (p1, p2)
-    return domain, injective, codomain_ok, witnesses
+                    injective = False
+                    shown = (quote(earlier[0]), quote(earlier[1]))
+                    witnesses.append(f"{prefix}collision: {shown} and ({a}, {b})")
+    return domain, injective, codomain_ok, check_ok, witnesses
 
 
-def _lift_injection_report(
-    n: int, k_filter: Optional[int], classes: tuple[str, ...]
-) -> InjectionReport:
-    """Lift verification over the shape-rigid classes at size n."""
+def _gap_blocks(family: Callable, n: int, k_filter: Optional[int], lo: int):
+    """Blocks (k, family(n, k), family(n, k + 2)) for k_filter, or for every
+    lo <= k <= n - 2."""
+    for k in [k_filter] if k_filter is not None else range(lo, n - 1):
+        yield k, list(family(n, k)), list(family(n, k + 2))
 
-    def hook_member(p: Perm) -> bool:
-        return permutations.lis_length(p) + permutations.lds_length(p) == n + 1
 
-    def two_row_member(p: Perm) -> bool:
-        return permutations.lds_length(p) <= 2
-
-    domain = 0
-    injective = codomain_ok = True
-    witnesses: list[str] = []
-    if "hook" in classes:
-        d, i, c, w = _lift_report_for_class(
-            "hook-class",
-            n,
-            k_filter,
-            enumerate_class("hook_pair_permutations", n),
-            hook_member,
-            lambda k: injections.hook_injection(n, k - 1, k + 1) if k >= 2 else None,
-        )
-        domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c
-        witnesses.extend(w)
-    if "two_row" in classes:
-        d, i, c, w = _lift_report_for_class(
-            "two-row-class",
-            n,
-            k_filter,
-            enumerate_class("avoid321_permutations", n),
-            two_row_member,
-            lambda k: injections.two_row_inject,
-        )
-        domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c
-        witnesses.extend(w)
-    return InjectionReport(
-        "lift", n, k_filter, domain, injective, codomain_ok,
-        None, None, tuple(witnesses),
-    )
+def _stat_blocks(members: Iterable, stat: Callable, k_filter: Optional[int]):
+    """Blocks (k, members with stat k - 1, members with stat k + 1) for
+    k_filter, or for every statistic value present."""
+    by_k: dict[int, list] = {}
+    for x in members:
+        by_k.setdefault(stat(x), []).append(x)
+    for k in [k_filter] if k_filter is not None else sorted(by_k):
+        yield k, by_k.get(k - 1, []), by_k.get(k + 1, [])
 
 
 def verify_injection(
@@ -762,19 +636,63 @@ def verify_injection(
     """Enumerate an injection's full domain and check it lands injectively
     in the declared codomain; counterexamples are reported verbatim.
     Refuses sizes beyond the budget of the classes it enumerates."""
+    type_ok = preimage_ok = None
     if kind == "hook":
         _check_budget("hooks", n, None)
-        return _hook_injection_report(n, k)
-    if kind == "flip":
+        domain, injective, codomain_ok, type_ok, witnesses = _check_injection(
+            _gap_blocks(tableaux.hook_tableaux, n, k, 1),
+            lambda j, t1, t2: injections.hook_inject(n, j, j + 2, t1, t2),
+            lambda j, u: tableaux.is_hook(u) and u.n == n and len(u.rows[0]) == j + 1,
+            ("type", lambda t1, t2, u1, u2: (
+                injections.pair_type(u1, u2) == injections.pair_type(t1, t2)
+            )),
+        )
+    elif kind == "flip":
         _check_budget("two_row_tableaux", n, None)
-        return _flip_injection_report(n, k)
-    if kind == "protected":
+        domain, injective, codomain_ok, preimage_ok, witnesses = _check_injection(
+            _gap_blocks(paths.lattice_paths, n, k, (n + 1) // 2),
+            lambda j, p, q: paths.flip_inject(p, q),
+            lambda j, r: r.n == n and r.east == j + 1,
+            ("preimage", lambda p, q, r, s: paths.flip_preimage(r, s) == (p, q)),
+        )
+    elif kind == "protected":
         if lm is None:
             raise ValueError("protected verification requires lm")
-        return _protected_injection_report(n, k, lm)
-    if kind == "lift":
-        return _lift_injection_report(n, k, lift_classes)
-    raise ValueError(f"unknown injection kind {kind!r}")
+        l, m = lm
+        domain, injective, codomain_ok, _, witnesses = _check_injection(
+            _stat_blocks(enumerate_class("protected", n, lm=lm), lambda t: len(t.rows[0]), k),
+            lambda j, t1, t2: injections.protected_inject(n, j, l, m, t1, t2),
+            lambda j, u: tableaux.is_lm_protected(u, l, m) and len(u.rows[0]) == j,
+        )
+    elif kind == "lift":
+        # The shape-rigid classes at size n, each with its tableau injection
+        # from first-row lengths (j - 1, j + 1) to (j, j).
+        classes = (
+            ("hook", "hook-class ", "hook_pair_permutations",
+             lambda w: permutations.lis_length(w) + permutations.lds_length(w) == n + 1,
+             lambda j, t1, t2: injections.hook_inject(n, j - 1, j + 1, t1, t2)),
+            ("two_row", "two-row-class ", "avoid321_permutations",
+             lambda w: permutations.lds_length(w) <= 2,
+             lambda j, t1, t2: injections.two_row_inject(t1, t2)),
+        )
+        domain, injective, codomain_ok, witnesses = 0, True, True, []
+        for name, prefix, label, member, inj in classes:
+            if name not in lift_classes:
+                continue
+            d, i, c, _, w = _check_injection(
+                _stat_blocks(enumerate_class(label, n), permutations.lis_length, k),
+                lambda j, p1, p2: injections.lift(partial(inj, j), p1, p2),
+                lambda j, w: member(w) and permutations.lis_length(w) == j,
+                prefix=prefix,
+                quote=lambda p: p,
+            )
+            domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c
+            witnesses.extend(w)
+    else:
+        raise ValueError(f"unknown injection kind {kind!r}")
+    return InjectionReport(
+        kind, n, k, domain, injective, codomain_ok, type_ok, preimage_ok, tuple(witnesses)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +734,7 @@ def verify_formulas(n_max: int) -> list[FormulaReport]:
     for 5 <= n <= min(n_max, 14) the enumerated totals p_n of (2, 4)-protected
     tableaux and b_n of hook-plus-box tableaux must satisfy
     1/2 < p_n/b_n < (n-3)/(2(n-4)), compared exactly in integers."""
+    _check_n(n_max)
     reports = []
 
     top = min(n_max, 15)

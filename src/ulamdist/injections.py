@@ -184,18 +184,6 @@ def hook_inject(
     return hook_from_first_row(n, r1), hook_from_first_row(n, r2)
 
 
-def hook_injection(
-    n: int, k: int, l: int
-) -> Callable[[Tableau, Tableau], tuple[Tableau, Tableau]]:
-    """Curried :func:`hook_inject`, convenient as an argument to
-    :func:`lift`."""
-
-    def apply(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
-        return hook_inject(n, k, l, t1, t2)
-
-    return apply
-
-
 # ---------------------------------------------------------------------------
 # Tableaux with a fixed protected area
 

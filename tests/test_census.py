@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ulamdist import census, tableaux
+from ulamdist import census, injections, paths, tableaux
 from ulamdist.census import (
     BudgetError,
     ClassSequence,
@@ -46,17 +46,6 @@ class TestEnumerate:
         assert census.resolve_label("u") == "all_permutations"
         with pytest.raises(ValueError):
             census.resolve_label("nope")
-
-    def test_first_entry_partition_is_exact(self):
-        whole = sorted(enumerate_class("all_permutations", 5))
-        parts = []
-        for first in range(1, 6):
-            parts.extend(enumerate_class("all_permutations", 5, first_entry=first))
-        assert sorted(parts) == whole
-
-    def test_first_entry_rejected_for_tableaux(self):
-        with pytest.raises(ValueError):
-            list(enumerate_class("hooks", 4, first_entry=1))
 
     def test_protected_requires_lm(self):
         with pytest.raises(ValueError):
@@ -252,6 +241,126 @@ class TestVerifyInjection:
         data = verify_injection("hook", 5).to_json()
         assert data["ok"] is True
         json.dumps(data)
+
+    def test_collisions_are_counted_within_each_k(self, monkeypatch):
+        # One image pair for every k: the maps for different k are separate
+        # injections, so only the 5 + 15 + 5 repeats inside each k collide.
+        u = tableaux.hook_from_first_row(5, (1, 2))
+        monkeypatch.setattr(injections, "hook_inject", lambda n, k, l, t1, t2: (u, u))
+        report = verify_injection("hook", 5)
+        assert report.domain_size == 6 + 16 + 6
+        assert sum(w.startswith("collision: ") for w in report.witnesses) == 25
+
+    def test_flip_map_leaving_the_codomain_fails_the_preimage_check(self, monkeypatch):
+        # flip_preimage cannot read an image pair with unequal east counts;
+        # that is a failed check, not a crash.
+        monkeypatch.setattr(paths, "flip_inject", lambda p, q: (p, q))
+        report = verify_injection("flip", 7)
+        assert not report.ok
+        assert report.codomain_ok is False and report.preimage_identity is False
+        assert report.witnesses[:2] == (
+            "codomain: (EEEENNN, EEEEEEN) -> (EEEENNN, EEEEEEN)",
+            "preimage: (EEEENNN, EEEEEEN) -> (EEEENNN, EEEEEEN)",
+        )
+
+    def test_hook_map_leaving_the_hooks_fails_the_type_check(self, monkeypatch):
+        square = tableaux.Tableau(((1, 2), (3, 4), (5,)))
+        monkeypatch.setattr(injections, "hook_inject", lambda n, k, l, t1, t2: (square, square))
+        report = verify_injection("hook", 5, k=1)
+        assert not report.ok
+        assert report.codomain_ok is False and report.type_preserved is False
+        assert report.witnesses[:2] == (
+            "codomain: (1/2/3/4/5, 1,2,3/4/5) -> (1,2/3,4/5, 1,2/3,4/5)",
+            "type: (1/2/3/4/5, 1,2,3/4/5) -> (1,2/3,4/5, 1,2/3,4/5)",
+        )
+
+
+def _constant_hook_inject(n, k, l, t1, t2):
+    u = tableaux.hook_from_first_row(n, range(1, k + 2))
+    return u, u
+
+
+def _hook_inject_swapped_at_2(n, k, l, t1, t2):
+    u1, u2 = _HOOK_INJECT(n, k, l, t1, t2)
+    return (u2, u1) if k == 2 else (u1, u2)
+
+
+_HOOK_INJECT = injections.hook_inject
+
+# Broken maps and the exact report each gives: every flag, the number of
+# witnesses and the first three of them, verbatim and in order.
+BROKEN_MAPS = {
+    "hook-identity": (
+        "hook_inject", lambda n, k, l, t1, t2: (t1, t2), ("hook", 5), {}, 28,
+        {"kind": "hook", "n": 5, "k": None, "domain_size": 28, "injective": True,
+         "codomain_ok": False, "type_preserved": True, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "codomain: (1/2/3/4/5, 1,2,3/4/5) -> (1/2/3/4/5, 1,2,3/4/5)",
+             "codomain: (1/2/3/4/5, 1,2,4/3/5) -> (1/2/3/4/5, 1,2,4/3/5)",
+             "codomain: (1/2/3/4/5, 1,2,5/3/4) -> (1/2/3/4/5, 1,2,5/3/4)"]},
+    ),
+    "hook-constant": (
+        "hook_inject", _constant_hook_inject, ("hook", 5), {}, 47,
+        {"kind": "hook", "n": 5, "k": None, "domain_size": 28, "injective": False,
+         "codomain_ok": True, "type_preserved": False, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "collision: ('1/2/3/4/5', '1,2,3/4/5') and (1/2/3/4/5, 1,2,4/3/5)",
+             "type: (1/2/3/4/5, 1,2,5/3/4) -> (1,2/3/4/5, 1,2/3/4/5)",
+             "collision: ('1/2/3/4/5', '1,2,3/4/5') and (1/2/3/4/5, 1,2,5/3/4)"]},
+    ),
+    "hook-swapped-at-k2": (
+        "hook_inject", _hook_inject_swapped_at_2, ("hook", 6), {}, 28,
+        {"kind": "hook", "n": 6, "k": None, "domain_size": 120, "injective": True,
+         "codomain_ok": True, "type_preserved": False, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "type: (1,2/3/4/5/6, 1,2,3,6/4/5) -> (1,2,6/3/4/5, 1,2,3/4/5/6)",
+             "type: (1,2/3/4/5/6, 1,2,4,6/3/5) -> (1,2,6/3/4/5, 1,2,4/3/5/6)",
+             "type: (1,2/3/4/5/6, 1,2,5,6/3/4) -> (1,2,6/3/4/5, 1,2,5/3/4/6)"]},
+    ),
+    "protected-identity": (
+        "protected_inject", lambda n, k, l, m, t1, t2: (t1, t2), ("protected", 7),
+        {"lm": (2, 4)}, 384,
+        {"kind": "protected", "n": 7, "k": None, "domain_size": 384, "injective": True,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "codomain: (1,2/3,4/5/6/7, 1,2,4,5/3,6/7) -> (1,2/3,4/5/6/7, 1,2,4,5/3,6/7)",
+             "codomain: (1,2/3,4/5/6/7, 1,2,4,5/3,7/6) -> (1,2/3,4/5/6/7, 1,2,4,5/3,7/6)",
+             "codomain: (1,2/3,4/5/6/7, 1,2,4,6/3,5/7) -> (1,2/3,4/5/6/7, 1,2,4,6/3,5/7)"]},
+    ),
+    "two-row-first": (
+        "two_row_inject", lambda t1, t2: (t1, t1), ("lift", 5), {}, 25,
+        {"kind": "lift", "n": 5, "k": None, "domain_size": 353, "injective": True,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "two-row-class codomain: ((1, 3, 2, 5, 4), (1, 2, 3, 4, 5)) -> "
+             "((1, 3, 2, 5, 4), (1, 3, 2, 5, 4))",
+             "two-row-class codomain: ((1, 3, 5, 2, 4), (1, 2, 3, 4, 5)) -> "
+             "((1, 3, 2, 5, 4), (1, 4, 5, 2, 3))",
+             "two-row-class codomain: ((1, 4, 2, 5, 3), (1, 2, 3, 4, 5)) -> "
+             "((1, 4, 5, 2, 3), (1, 3, 2, 5, 4))"]},
+    ),
+    "lift-hook-constant": (
+        "hook_inject", _constant_hook_inject, ("lift", 4), {}, 16,
+        {"kind": "lift", "n": 4, "k": None, "domain_size": 22, "injective": False,
+         "codomain_ok": True, "type_preserved": None, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "hook-class collision: ((4, 3, 2, 1), (1, 2, 4, 3)) and "
+             "((4, 3, 2, 1), (1, 3, 2, 4))",
+             "hook-class collision: ((4, 3, 2, 1), (1, 2, 4, 3)) and "
+             "((4, 3, 2, 1), (1, 3, 4, 2))",
+             "hook-class collision: ((4, 3, 2, 1), (1, 2, 4, 3)) and "
+             "((4, 3, 2, 1), (1, 4, 2, 3))"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_MAPS))
+def test_broken_map_report_is_pinned(case, monkeypatch):
+    attr, broken, args, kwargs, n_witnesses, expect = BROKEN_MAPS[case]
+    monkeypatch.setattr(injections, attr, broken)
+    data = verify_injection(*args, **kwargs).to_json()
+    assert len(data["witnesses"]) == n_witnesses
+    assert {**data, "witnesses": data["witnesses"][:3]} == expect
 
 
 class TestVerifyFormulas:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ulamdist import paths
 from ulamdist.cli import main
 
 
@@ -57,6 +58,22 @@ class TestSequence:
         assert code == 2
         assert "zzz" in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_shapes_rejects_n_below_one(self, capsys, n):
+        code, out, err = run(
+            capsys, "sequence", "--class", "u", "--n", n, "--method", "shapes"
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: n must be >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("label", ["u", "b", "m"])
+    def test_sweep_classes_reject_lm(self, capsys, label):
+        code, out, err = run(
+            capsys, "sequence", "--class", label, "--n", "4", "--lm", "2,4"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: class ") and "takes no lm parameter" in err
+
 
 class TestVerify:
     def test_conjecture_small(self, capsys):
@@ -92,6 +109,19 @@ class TestVerify:
         assert code == 0
         for line in out.strip().splitlines():
             assert json.loads(line)["ok"] is True
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_formulas_reject_n_max_below_one(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "formulas", "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert err == f"error: n must be >= 1, got {n_max}\n"
+
+    def test_injection_broken_map_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(paths, "flip_inject", lambda p, q: (p, q))
+        code, out, _ = run(capsys, "verify", "injection", "--kind", "flip", "--n", "7")
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False and data["preimage_identity"] is False
 
 
 class TestRsk:

@@ -11,7 +11,6 @@ from ulamdist.injections import (
     _comb_rank,
     _comb_unrank,
     hook_inject,
-    hook_injection,
     lift,
     pair_type,
     protected_inject,
@@ -238,7 +237,7 @@ class TestLift:
         members = {}
         for p in enumerate_class("hook_pair_permutations", n):
             members.setdefault(lis_length(p), []).append(p)
-        inj = hook_injection(n, k - 1, k + 1)
+        inj = lambda t1, t2: hook_inject(n, k - 1, k + 1, t1, t2)
         images = set()
         domain = 0
         for p1 in members[k - 1]:
