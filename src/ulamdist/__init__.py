@@ -24,6 +24,7 @@ from .injections import (
 )
 from .paths import (
     LatticePath,
+    check_path,
     flip_inject,
     flip_preimage,
     lattice_paths,
@@ -49,6 +50,7 @@ from .tableaux import (
     HookType,
     ProtectedDecomposition,
     Tableau,
+    check_tableau,
     format_tableau,
     hook_tableaux,
     hook_type,

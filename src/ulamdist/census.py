@@ -37,7 +37,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, floor, lgamma, log
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import injections, paths, permutations, tableaux
@@ -125,22 +125,44 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
+def _factorial_text(n: int) -> str:
+    """``n! = <value>``, written approximately once it has over 20 digits
+    (Python refuses to print an int of over 4300 digits: n! from n = 1559)."""
+    if n <= 20:
+        return f"{n}! = {factorial(n)}"
+    digits = lgamma(n + 1) / log(10)
+    exponent = floor(digits)
+    return f"{n}! ~ {10 ** (digits - exponent):.2f}e{exponent}"
+
+
 def _check_budget(label: str, n: int, cap: Optional[int]) -> None:
     _check_n(n)
     limit = enumeration_cap(label) if cap is None else cap
     if n > limit:
+        size = (
+            f" ({_factorial_text(n)} permutations)" if label in _FULL_SWEEP_LABELS else ""
+        )
         raise BudgetError(
-            f"enumeration of {label!r} at n={n} exceeds the cap {limit}; "
+            f"enumeration of {label!r} at n={n} exceeds the cap {limit}{size}; "
             f"set ULAM_BUDGET to raise it"
         )
 
 
-def _check_lm(canonical: str, lm: Optional[tuple[int, int]]) -> None:
+def _check_lm(canonical: str, lm: Optional[tuple[int, int]], n: int) -> None:
     if canonical == "protected":
         if lm is None:
             raise ValueError("class 'protected' requires the lm parameter")
+        l, m = lm
+        if not 1 <= l <= m <= n:
+            raise ValueError(f"lm must satisfy 1 <= l <= m <= n={n}, got {l},{m}")
     elif lm is not None:
         raise ValueError(f"class {canonical!r} takes no lm parameter")
+
+
+def _check_k(kind: str, n: int, k: Optional[int], lo: int, hi: int) -> None:
+    """An explicit k must name a nonempty part of the injection's domain."""
+    if k is not None and not lo <= k <= hi:
+        raise ValueError(f"{kind} injection at n={n} needs {lo} <= k <= {hi}, got k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +229,7 @@ def enumerate_class(
     """Yield every member of a class exactly once."""
     canonical = resolve_label(label)
     _check_budget(canonical, n, cap)
-    _check_lm(canonical, lm)
+    _check_lm(canonical, lm, n)
 
     if canonical == "all_permutations":
         return _permutations_of(n, None)
@@ -335,7 +357,7 @@ def sequence(
     """
     canonical = resolve_label(label)
     _check_budget(canonical, n, cap)
-    _check_lm(canonical, lm)
+    _check_lm(canonical, lm, n)
     if jobs and jobs > 1 and canonical in _FULL_SWEEP_LABELS and n > 1:
         args = [(canonical, n, first) for first in range(1, n + 1)]
         total: Counter = Counter()
@@ -565,9 +587,10 @@ def _check_injection(
     """Apply ``f(k, a, b)`` to every pair of every ``(k, lefts, rights)``
     block and check each image pair (u, v), in this order:
 
-    1. ``in_codomain(k, u)`` and ``in_codomain(k, v)``;
+    1. ``in_codomain(k, u)`` and ``in_codomain(k, v)``, where a ValueError
+       (the validator rejecting a malformed image) counts as a failure;
     2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``,
-       where a ValueError counts as a failure (a map that leaves the
+       where a ValueError counts as a failure too (a map that leaves the
        codomain can hand the check an image it cannot read);
     3. no earlier pair of the same block has the same image.
 
@@ -586,7 +609,11 @@ def _check_injection(
             for b in rights:
                 u, v = f(k, a, b)
                 domain += 1
-                if not (in_codomain(k, u) and in_codomain(k, v)):
+                try:
+                    inside = in_codomain(k, u) and in_codomain(k, v)
+                except ValueError:
+                    inside = False
+                if not inside:
                     codomain_ok = False
                     witnesses.append(f"{prefix}codomain: ({a}, {b}) -> ({u}, {v})")
                 if holds is not None:
@@ -635,38 +662,65 @@ def verify_injection(
 ) -> InjectionReport:
     """Enumerate an injection's full domain and check it lands injectively
     in the declared codomain; counterexamples are reported verbatim.
-    Refuses sizes beyond the budget of the classes it enumerates."""
+
+    The maps build their images unchecked, so the codomain checks here run
+    the tableau or path validator on every image: a malformed image is a
+    codomain failure.  An explicit k must lie in the kind's range, lm is
+    for the protected kind only, and sizes beyond the budget of the classes
+    enumerated are refused."""
+    if kind != "protected" and lm is not None:
+        raise ValueError(f"injection kind {kind!r} takes no lm parameter")
     type_ok = preimage_ok = None
     if kind == "hook":
         _check_budget("hooks", n, None)
+        _check_k(kind, n, k, 1, n - 2)
+
+        def in_hooks(j, u):
+            tableaux.check_tableau(u.rows)
+            return tableaux.is_hook(u) and u.n == n and len(u.rows[0]) == j + 1
+
         domain, injective, codomain_ok, type_ok, witnesses = _check_injection(
             _gap_blocks(tableaux.hook_tableaux, n, k, 1),
             lambda j, t1, t2: injections.hook_inject(n, j, j + 2, t1, t2),
-            lambda j, u: tableaux.is_hook(u) and u.n == n and len(u.rows[0]) == j + 1,
+            in_hooks,
             ("type", lambda t1, t2, u1, u2: (
                 injections.pair_type(u1, u2) == injections.pair_type(t1, t2)
             )),
         )
     elif kind == "flip":
         _check_budget("two_row_tableaux", n, None)
+        _check_k(kind, n, k, (n + 1) // 2, n - 2)
+
+        def in_paths(j, r):
+            paths.check_path(r.steps)
+            return r.n == n and r.east == j + 1
+
         domain, injective, codomain_ok, preimage_ok, witnesses = _check_injection(
             _gap_blocks(paths.lattice_paths, n, k, (n + 1) // 2),
             lambda j, p, q: paths.flip_inject(p, q),
-            lambda j, r: r.n == n and r.east == j + 1,
+            in_paths,
             ("preimage", lambda p, q, r, s: paths.flip_preimage(r, s) == (p, q)),
         )
     elif kind == "protected":
         if lm is None:
             raise ValueError("protected verification requires lm")
+        _check_k(kind, n, k, 2, n - 1)
         l, m = lm
+
+        def in_protected(j, u):
+            tableaux.check_tableau(u.rows)
+            return tableaux.is_lm_protected(u, l, m) and len(u.rows[0]) == j
+
         domain, injective, codomain_ok, _, witnesses = _check_injection(
             _stat_blocks(enumerate_class("protected", n, lm=lm), lambda t: len(t.rows[0]), k),
             lambda j, t1, t2: injections.protected_inject(n, j, l, m, t1, t2),
-            lambda j, u: tableaux.is_lm_protected(u, l, m) and len(u.rows[0]) == j,
+            in_protected,
         )
     elif kind == "lift":
+        _check_k(kind, n, k, 2, n - 1)
         # The shape-rigid classes at size n, each with its tableau injection
-        # from first-row lengths (j - 1, j + 1) to (j, j).
+        # from first-row lengths (j - 1, j + 1) to (j, j); lift itself
+        # validates the image tableaux before inverting row insertion.
         classes = (
             ("hook", "hook-class ", "hook_pair_permutations",
              lambda w: permutations.lis_length(w) + permutations.lds_length(w) == n + 1,

@@ -99,6 +99,8 @@ def _cmd_sequence(args) -> int:
             seq = census.involution_counts_by_shape(args.n)
         else:
             raise ValueError(f"--method shapes is not available for {args.label!r}")
+        if lm is not None:
+            raise ValueError(f"class {label!r} takes no lm parameter")
     else:
         seq = census.sequence(args.label, args.n, lm=lm, jobs=args.jobs)
     if args.format == "csv":

@@ -33,6 +33,7 @@ from .tableaux import (
     HookType,
     Tableau,
     attach_surplus,
+    check_tableau,
     hook_from_first_row,
     hook_type,
     is_hook,
@@ -264,14 +265,16 @@ def lift(
 
     With rsk(p_i) = (P_i, Q_i), the result is the pair of permutations
     whose tableau pairs are inj(P1, P2) and inj(Q1, Q2).  That only defines
-    permutations when each image pair shares a shape, which holds for
-    shape-rigid classes (hooks, two-row tableaux); a violation raises
-    instead of guessing.
+    permutations when the four images are standard and each image pair
+    shares a shape, which holds for shape-rigid classes (hooks, two-row
+    tableaux); a violation raises ValueError instead of guessing.
     """
     p_tab1, q_tab1 = rsk(p1)
     p_tab2, q_tab2 = rsk(p2)
     img_p = inj(p_tab1, p_tab2)
     img_q = inj(q_tab1, q_tab2)
+    for t in (*img_p, *img_q):
+        check_tableau(t.rows)
     for left, right in (img_p, img_q):
         if left.shape != right.shape:
             raise ValueError(

@@ -6,14 +6,42 @@ paths with n steps of which k are east, so the endpoint is (k, n - k); the
 diagonal constraint forces n - k <= k.  Two-row standard tableaux of size n
 with first row of length k biject with L(n, k) by reading the first-row
 entries as east-step positions.
+
+Validation happens where paths enter: the public constructor
+``LatticePath(steps)`` and :func:`parse_path` run :func:`check_path`, and
+the flip check of :mod:`ulamdist.census` runs it on every image path.  The
+builders here (:func:`lattice_paths`, :func:`tableau_to_path`,
+:func:`flip_inject`) produce sub-diagonal paths by construction and build
+through the unchecked ``_path``; :func:`flip_preimage` runs the check on
+its un-flipped candidates, which need not be paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterator, Optional
 
-from .tableaux import Tableau
+from .tableaux import Tableau, _tableau
+
+# Height above the diagonal gained by each step.
+_RISE = {"E": 1, "N": -1}
+
+
+def check_path(steps: str) -> None:
+    """Raise ValueError unless steps is a nonempty string over E and N that
+    never rises above the diagonal; the earliest offending step is named."""
+    if not steps:
+        raise ValueError("path must have at least one step")
+    rest = steps.lstrip("EN")
+    prefix = steps[: len(steps) - len(rest)]
+    # Heights move by one from 0, so the path first leaves the region at -1.
+    if -1 in accumulate(map(_RISE.__getitem__, prefix)):
+        i = list(accumulate(map(_RISE.__getitem__, prefix))).index(-1) + 1
+        raise ValueError(f"path rises above the diagonal after step {i}: {steps!r}")
+    if rest:
+        raise ValueError(f"invalid step {rest[0]!r} in {steps!r}")
 
 
 @dataclass(frozen=True)
@@ -21,18 +49,7 @@ class LatticePath:
     steps: str
 
     def __post_init__(self):
-        if not self.steps:
-            raise ValueError("path must have at least one step")
-        east = 0
-        for i, ch in enumerate(self.steps, start=1):
-            if ch == "E":
-                east += 1
-            elif ch != "N":
-                raise ValueError(f"invalid step {ch!r} in {self.steps!r}")
-            if i - east > east:
-                raise ValueError(
-                    f"path rises above the diagonal after step {i}: {self.steps!r}"
-                )
+        check_path(self.steps)
 
     @property
     def n(self) -> int:
@@ -54,6 +71,13 @@ class LatticePath:
         return self.steps
 
 
+def _path(steps: str) -> LatticePath:
+    """Build a LatticePath from steps known to be valid, skipping the check."""
+    p = object.__new__(LatticePath)
+    object.__setattr__(p, "steps", steps)
+    return p
+
+
 def parse_path(text: str) -> LatticePath:
     return LatticePath(text.strip())
 
@@ -65,7 +89,7 @@ def lattice_paths(n: int, k: int) -> Iterator[LatticePath]:
 
     def rec(prefix: list[str], east: int, north: int) -> Iterator[LatticePath]:
         if east + north == n:
-            yield LatticePath("".join(prefix))
+            yield _path("".join(prefix))
             return
         if east < k:
             prefix.append("E")
@@ -84,15 +108,14 @@ def tableau_to_path(t: Tableau) -> LatticePath:
     if len(t.rows) > 2:
         raise ValueError(f"tableau has more than two rows: {t}")
     first = set(t.rows[0])
-    return LatticePath("".join("E" if i in first else "N" for i in range(1, t.n + 1)))
+    return _path("".join("E" if i in first else "N" for i in range(1, t.n + 1)))
 
 
 def path_to_tableau(path: LatticePath) -> Tableau:
     """East-step positions become row one, north-step positions row two."""
     row1 = tuple(i for i, ch in enumerate(path.steps, start=1) if ch == "E")
     row2 = tuple(i for i, ch in enumerate(path.steps, start=1) if ch == "N")
-    rows = (row1,) if not row2 else (row1, row2)
-    return Tableau(rows)
+    return _tableau((row1,) if not row2 else (row1, row2))
 
 
 def _last_crossing(a: str, b: str) -> Optional[int]:
@@ -103,13 +126,12 @@ def _last_crossing(a: str, b: str) -> Optional[int]:
     e_a(t) == 1; both paths reach any shared point after the same number of
     steps, so "last common point" and "largest such t" agree.
     """
-    diff = 0
-    last = None
-    for t in range(1, len(a) + 1):
-        diff += (b[t - 1] == "E") - (a[t - 1] == "E")
-        if diff == 1:
-            last = t
-    return last
+    # ord("N") - ord("E") == 9, so the running byte difference is 9 times
+    # e_b(t) - e_a(t).
+    diffs = list(accumulate(map(sub, a.encode(), b.encode())))
+    if 9 not in diffs:
+        return None
+    return len(diffs) - diffs[::-1].index(9)
 
 
 def flip_inject(p: LatticePath, q: LatticePath) -> tuple[LatticePath, LatticePath]:
@@ -130,10 +152,7 @@ def flip_inject(p: LatticePath, q: LatticePath) -> tuple[LatticePath, LatticePat
         )
     t = _last_crossing(p.steps, q.steps)
     assert t is not None, "translated paths always share a point"
-    return (
-        LatticePath(p.steps[:t] + q.steps[t:]),
-        LatticePath(q.steps[:t] + p.steps[t:]),
-    )
+    return _path(p.steps[:t] + q.steps[t:]), _path(q.steps[:t] + p.steps[t:])
 
 
 def flip_preimage(
@@ -153,11 +172,14 @@ def flip_preimage(
     t = _last_crossing(r.steps, s.steps)
     if t is None:
         return None
+    p_steps = r.steps[:t] + s.steps[t:]
+    q_steps = s.steps[:t] + r.steps[t:]
     try:
-        p = LatticePath(r.steps[:t] + s.steps[t:])
-        q = LatticePath(s.steps[:t] + r.steps[t:])
+        check_path(p_steps)
+        check_path(q_steps)
     except ValueError:
         return None
+    p, q = _path(p_steps), _path(q_steps)
     if flip_inject(p, q) != (r, s):
         return None
     return (p, q)

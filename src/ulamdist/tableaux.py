@@ -1,7 +1,17 @@
 """Standard Young tableaux and the row-insertion correspondence.
 
-A tableau is stored row-major as a tuple of tuples of entries; validation
-happens once, on construction.  Shapes are plain tuples of row lengths.
+A tableau is stored row-major as a tuple of tuples of entries.  Shapes are
+plain tuples of row lengths.
+
+Validation happens where tableaux enter: the public constructor
+``Tableau(rows)`` and :func:`parse_tableau` run :func:`check_tableau`, and
+the injection checks of :mod:`ulamdist.census` run it on every image a map
+under test returns.  The builders here (:func:`rsk`,
+:func:`hook_from_first_row`, :func:`standard_tableaux`,
+:func:`attach_surplus`) produce standard tableaux by construction, so they
+trust their input and build through the unchecked ``_tableau``, the way the
+arithmetic helpers of :mod:`ulamdist.permutations` trust theirs.
+
 The text form used by the CLI writes rows separated by ``/`` with entries
 comma-separated, e.g. ``"1,3/2"``.
 """
@@ -11,7 +21,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
+from operator import ge, lt
 from typing import Iterator, Sequence
 
 from .permutations import Perm
@@ -24,6 +35,27 @@ def is_partition(rows: Sequence[int]) -> bool:
     return all(r >= 1 for r in rows) and all(a >= b for a, b in zip(rows, rows[1:]))
 
 
+def check_tableau(rows: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless rows form a standard Young tableau: nonempty
+    rows of weakly decreasing length, filled with 1..n exactly once, strictly
+    increasing along every row and down every column."""
+    shape = tuple(map(len, rows))
+    if not shape or 0 in shape:
+        raise ValueError("tableau must have nonempty rows")
+    if any(map(lt, shape, shape[1:])):
+        raise ValueError(f"row lengths {shape} do not weakly decrease")
+    n = sum(shape)
+    if sorted(chain.from_iterable(rows)) != list(range(1, n + 1)):
+        raise ValueError(f"entries are not exactly 1..{n}: {rows}")
+    for row in rows:
+        if any(map(ge, row, row[1:])):
+            raise ValueError(f"row {row} is not strictly increasing")
+    for upper, lower in zip(rows, rows[1:]):
+        if any(map(ge, upper, lower)):
+            c = list(map(ge, upper, lower)).index(True)
+            raise ValueError(f"column {c + 1} is not strictly increasing")
+
+
 @dataclass(frozen=True)
 class Tableau:
     """A standard Young tableau: strictly increasing rows and columns filled
@@ -32,30 +64,15 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = self.rows
-        if not rows or any(not row for row in rows):
-            raise ValueError("tableau must have nonempty rows")
-        shape = tuple(len(row) for row in rows)
-        if not is_partition(shape):
-            raise ValueError(f"row lengths {shape} do not weakly decrease")
-        n = sum(shape)
-        if sorted(v for row in rows for v in row) != list(range(1, n + 1)):
-            raise ValueError(f"entries are not exactly 1..{n}: {rows}")
-        for row in rows:
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row {row} is not strictly increasing")
-        for r in range(1, len(rows)):
-            for c, v in enumerate(rows[r]):
-                if rows[r - 1][c] >= v:
-                    raise ValueError(f"column {c + 1} is not strictly increasing")
+        check_tableau(self.rows)
 
     @property
     def n(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.rows))
 
     @property
     def shape(self) -> Shape:
-        return tuple(len(row) for row in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def first_row(self) -> tuple[int, ...]:
@@ -63,6 +80,13 @@ class Tableau:
 
     def __str__(self) -> str:
         return format_tableau(self)
+
+
+def _tableau(rows: tuple[tuple[int, ...], ...]) -> Tableau:
+    """Build a Tableau from rows known to be standard, skipping the check."""
+    t = object.__new__(Tableau)
+    object.__setattr__(t, "rows", rows)
+    return t
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -111,10 +135,7 @@ def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
         else:
             prows.append([x])
             qrows.append([step])
-    return (
-        Tableau(tuple(tuple(row) for row in prows)),
-        Tableau(tuple(tuple(row) for row in qrows)),
-    )
+    return _tableau(tuple(map(tuple, prows))), _tableau(tuple(map(tuple, qrows)))
 
 
 def rsk_inverse(p_tab: Tableau, q_tab: Tableau) -> Perm:
@@ -156,8 +177,10 @@ class HookType(Enum):
 
 
 def is_hook(t: Tableau) -> bool:
-    """A hook consists of exactly one row and one column."""
-    return all(len(row) == 1 for row in t.rows[1:])
+    """A hook consists of exactly one row and one column; row lengths weakly
+    decrease, so the second row decides."""
+    rows = t.rows
+    return len(rows) == 1 or len(rows[1]) == 1
 
 
 def hook_type(t: Tableau) -> HookType:
@@ -173,8 +196,8 @@ def hook_from_first_row(n: int, first_row: Sequence[int]) -> Tableau:
     """Build the hook of size n whose first row is the given entry set;
     the remaining entries fill the first column in increasing order."""
     row = tuple(first_row)
-    column = sorted(set(range(1, n + 1)) - set(row))
-    return Tableau((row,) + tuple((v,) for v in column))
+    column = sorted(set(range(1, n + 1)).difference(row))
+    return _tableau((row,) + tuple(zip(column)))
 
 
 def hook_tableaux(n: int, k: int | None = None) -> Iterator[Tableau]:
@@ -217,7 +240,7 @@ def standard_tableaux(shape: Sequence[int]) -> Iterator[Tableau]:
 
     def rec(v: int) -> Iterator[Tableau]:
         if v > n:
-            yield Tableau(tuple(tuple(row) for row in grid))
+            yield _tableau(tuple(map(tuple, grid)))
             return
         for r in range(len(shape)):
             c = fill[r]
@@ -321,7 +344,7 @@ def attach_surplus(
         + protected_rows[1:]
         + tuple((v,) for v in southern)
     )
-    return Tableau(rows)
+    return _tableau(rows)
 
 
 def is_lm_protected(t: Tableau, l: int, m: int) -> bool:

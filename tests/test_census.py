@@ -404,3 +404,107 @@ class TestSerialization:
         data = json.loads(json.dumps(sequence_json(seq)))
         assert data["class"] == "all_permutations"
         assert {int(k): v for k, v in data["counts"].items()} == seq.counts
+
+
+def _swap_last_two_of_first_row(t):
+    row = t.rows[0]
+    return tableaux._tableau((row[:-2] + (row[-1], row[-2]),) + t.rows[1:])
+
+
+def _hook_inject_unsorted(n, k, l, t1, t2):
+    # A hook-shaped image whose first row (1, x, y) runs (1, y, x).
+    u1, u2 = _HOOK_INJECT(n, k, l, t1, t2)
+    return _swap_last_two_of_first_row(u1), u2
+
+
+# (2, 4)-protected in every respect but standardness: 7 sits above 6.
+_UNSTANDARD_PROTECTED = tableaux._tableau(((1, 2, 5), (3, 4), (7,), (6,)))
+
+_FLIP_INJECT = paths.flip_inject
+
+
+def _flip_inject_above_diagonal(p, q):
+    # Same east count, but the first step goes north.
+    r, s = _FLIP_INJECT(p, q)
+    return paths._path("N" + r.steps.replace("N", "", 1)), s
+
+
+# Maps that return malformed images, built unchecked, and the run that
+# meets them: each image passes every codomain predicate except the
+# validator's.
+MALFORMED_IMAGES = {
+    "hook": (injections, "hook_inject", _hook_inject_unsorted, ("hook", 5), {"k": 2}),
+    "protected": (
+        injections, "protected_inject",
+        lambda n, k, l, m, t1, t2: (_UNSTANDARD_PROTECTED, _UNSTANDARD_PROTECTED),
+        ("protected", 7), {"k": 3, "lm": (2, 4)},
+    ),
+    "flip": (paths, "flip_inject", _flip_inject_above_diagonal, ("flip", 7), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_IMAGES))
+def test_malformed_images_fail_the_codomain_check(case, monkeypatch):
+    module, attr, broken, args, kwargs = MALFORMED_IMAGES[case]
+    monkeypatch.setattr(module, attr, broken)
+    report = verify_injection(*args, **kwargs)
+    assert report.codomain_ok is False and report.ok is False
+    assert report.witnesses[0].startswith("codomain: (")
+
+
+def test_malformed_images_pass_every_predicate_but_the_validator():
+    t1 = tableaux.hook_from_first_row(5, (1, 2))
+    t2 = tableaux.hook_from_first_row(5, (1, 2, 3, 4))
+    u = _hook_inject_unsorted(5, 2, 4, t1, t2)[0]
+    assert u.rows == ((1, 3, 2), (4,), (5,))
+    assert tableaux.is_hook(u) and u.n == 5 and len(u.rows[0]) == 3
+    assert tableaux.is_lm_protected(_UNSTANDARD_PROTECTED, 2, 4)
+    with pytest.raises(ValueError):
+        tableaux.check_tableau(u.rows)
+    with pytest.raises(ValueError):
+        tableaux.check_tableau(_UNSTANDARD_PROTECTED.rows)
+
+
+def test_lift_with_a_malformed_image_raises(monkeypatch):
+    monkeypatch.setattr(
+        injections, "two_row_inject",
+        lambda t1, t2: (_swap_last_two_of_first_row(t1), _swap_last_two_of_first_row(t2)),
+    )
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        verify_injection("lift", 5, lift_classes=("two_row",))
+
+
+class TestVerifyInjectionRanges:
+    @pytest.mark.parametrize(
+        "kind, n, k, lo, hi",
+        [("hook", 5, 0, 1, 3), ("hook", 5, 4, 1, 3), ("flip", 5, 2, 3, 3),
+         ("flip", 5, 4, 3, 3), ("lift", 5, 1, 2, 4), ("lift", 5, 5, 2, 4)],
+    )
+    def test_k_outside_the_range_is_refused(self, kind, n, k, lo, hi):
+        with pytest.raises(ValueError, match=f"needs {lo} <= k <= {hi}, got k={k}"):
+            verify_injection(kind, n, k=k)
+
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_protected_k_outside_the_range_is_refused(self, k):
+        with pytest.raises(ValueError, match=f"needs 2 <= k <= 5, got k={k}"):
+            verify_injection("protected", 6, k=k, lm=(2, 4))
+
+    def test_every_k_in_range_is_accepted(self):
+        for n in range(3, 8):
+            for k in range(1, n - 1):
+                assert verify_injection("hook", n, k=k).ok
+            for k in range((n + 1) // 2, n - 1):
+                assert verify_injection("flip", n, k=k).ok
+            for k in range(2, n):
+                assert verify_injection("protected", n, k=k, lm=(1, 1)).ok
+
+    @pytest.mark.parametrize("lm", [(4, 2), (0, 0), (0, 3), (2, 7)])
+    def test_lm_outside_the_range_is_refused(self, lm):
+        with pytest.raises(ValueError, match="1 <= l <= m <= n=6"):
+            verify_injection("protected", 6, lm=lm)
+        with pytest.raises(ValueError, match="1 <= l <= m <= n=6"):
+            sequence("protected", 6, lm=lm)
+
+    def test_empty_domain_without_k_is_a_valid_report(self):
+        report = verify_injection("hook", 2)
+        assert report.domain_size == 0 and report.ok

@@ -1,9 +1,12 @@
 import json
+from math import factorial
 
 import pytest
 
 from ulamdist import paths
 from ulamdist.cli import main
+
+from test_census import MALFORMED_IMAGES
 
 
 def run(capsys, *argv):
@@ -66,6 +69,27 @@ class TestSequence:
         assert code == 2 and out == ""
         assert err == f"error: n must be >= 1, got {n}\n"
 
+    @pytest.mark.parametrize("label", ["u", "i"])
+    def test_shapes_rejects_lm(self, capsys, label):
+        code, out, err = run(
+            capsys, "sequence", "--class", label, "--n", "4", "--method", "shapes",
+            "--lm", "2,4",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: class ") and "takes no lm parameter" in err
+
+    @pytest.mark.parametrize("label, n", [("u", 13), ("b", 13), ("m", 14)])
+    def test_budget_refusal_states_the_permutation_count(self, capsys, label, n):
+        code, _, err = run(capsys, "sequence", "--class", label, "--n", str(n))
+        assert code == 2
+        assert f"exceeds the cap 12 ({n}! = {factorial(n)} permutations); " in err
+        assert "set ULAM_BUDGET to raise it" in err
+
+    def test_budget_refusal_approximates_a_long_count(self, capsys):
+        code, _, err = run(capsys, "sequence", "--class", "u", "--n", "5000")
+        assert code == 2
+        assert "(5000! ~ 4.23e16325 permutations)" in err
+
     @pytest.mark.parametrize("label", ["u", "b", "m"])
     def test_sweep_classes_reject_lm(self, capsys, label):
         code, out, err = run(
@@ -115,6 +139,56 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "formulas", "--n-max", n_max)
         assert code == 2 and out == ""
         assert err == f"error: n must be >= 1, got {n_max}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "hook", "--n", "5", "--k", "9"),
+            ("--kind", "hook", "--n", "5", "--k", "0"),
+            ("--kind", "flip", "--n", "5", "--k", "-1"),
+            ("--kind", "flip", "--n", "5", "--k", "2"),
+            ("--kind", "protected", "--n", "6", "--lm", "2,4", "--k", "6"),
+            ("--kind", "lift", "--n", "5", "--k", "1"),
+            ("--kind", "protected", "--n", "6", "--lm", "4,2"),
+            ("--kind", "protected", "--n", "6", "--lm", "0,0"),
+            ("--kind", "protected", "--n", "6", "--lm", "2,7"),
+        ],
+    )
+    def test_injection_outside_the_domain_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "injection", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_injection_empty_domain_without_k_is_verified(self, capsys):
+        code, out, _ = run(capsys, "verify", "injection", "--kind", "flip", "--n", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["domain_size"] == 0 and data["ok"] is True
+
+    @pytest.mark.parametrize("kind", ["hook", "flip", "lift"])
+    def test_injection_rejects_lm(self, capsys, kind):
+        code, out, err = run(
+            capsys, "verify", "injection", "--kind", kind, "--n", "5", "--lm", "2,4"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "takes no lm parameter" in err
+
+    @pytest.mark.parametrize(
+        "case, argv",
+        [
+            ("hook", ("--kind", "hook", "--n", "5", "--k", "2")),
+            ("protected", ("--kind", "protected", "--n", "7", "--k", "3", "--lm", "2,4")),
+            ("flip", ("--kind", "flip", "--n", "7")),
+        ],
+    )
+    def test_injection_malformed_image_exits_1(self, capsys, monkeypatch, case, argv):
+        module, attr, broken, _, _ = MALFORMED_IMAGES[case]
+        monkeypatch.setattr(module, attr, broken)
+        code, out, _ = run(capsys, "verify", "injection", *argv)
+        assert code == 1
+        data = json.loads(out)
+        assert data["codomain_ok"] is False and data["ok"] is False
+        assert data["witnesses"][0].startswith("codomain: (")
 
     def test_injection_broken_map_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(paths, "flip_inject", lambda p, q: (p, q))

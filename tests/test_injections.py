@@ -19,6 +19,7 @@ from ulamdist.injections import (
 from ulamdist.permutations import lis_length
 from ulamdist.tableaux import (
     Tableau,
+    _tableau,
     hook_tableaux,
     is_lm_protected,
     parse_tableau,
@@ -269,4 +270,14 @@ class TestLift:
             return Tableau(((1, 2, 3),)), Tableau(((1, 3), (2,)))
 
         with pytest.raises(ValueError, match="shape rigidity"):
+            lift(bad_inj, (1, 2, 3), (1, 2, 3))
+
+    def test_non_standard_image_rejected(self):
+        # Equal shapes, so only the validator stands between this image
+        # and rsk_inverse.
+        def bad_inj(t1, t2):
+            u = _tableau(((2, 1, 3),))
+            return u, u
+
+        with pytest.raises(ValueError, match=r"row \(2, 1, 3\) is not strictly increasing"):
             lift(bad_inj, (1, 2, 3), (1, 2, 3))
