@@ -37,7 +37,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import comb, factorial, floor, lgamma, log
+from math import comb, factorial, floor, lgamma, log, prod
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import injections, paths, permutations, tableaux
@@ -105,19 +106,23 @@ def enumeration_cap(label: str) -> int:
     if not raw:
         return _DEFAULT_CAPS[canonical]
     if "=" not in raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"cannot parse ULAM_BUDGET={raw!r}") from None
+        return _parse_cap(raw, f"ULAM_BUDGET={raw!r}")
     caps = dict(_DEFAULT_CAPS)
     for part in raw.split(","):
         name, _, value = part.partition("=")
         name = resolve_label(name.strip())
-        try:
-            caps[name] = int(value)
-        except ValueError:
-            raise ValueError(f"cannot parse ULAM_BUDGET entry {part!r}") from None
+        caps[name] = _parse_cap(value, f"ULAM_BUDGET entry {part!r}")
     return caps[canonical]
+
+
+def _parse_cap(text: str, source: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ValueError(f"cannot parse {source}") from None
+    if cap < 1:
+        raise ValueError(f"ULAM_BUDGET caps must be >= 1, got {cap}")
+    return cap
 
 
 def _check_n(n: int) -> None:
@@ -292,34 +297,48 @@ def _make_sequence(label: str, n: int, raw: Counter) -> ClassSequence:
 
 
 def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
-    """Tight counting loop for the classes swept over all of S_n."""
-    counts: Counter = Counter()
+    """Tight counting loop for the classes swept over all of S_n.
+
+    LIS by patience sorting on a tails array padded with the sentinel
+    n + 1, one ``t[bisect_left(t, x)] = x`` per entry; LDS as the LIS of
+    the negated entries, sentinel 0.  Permutations sharing their first
+    n - 3 entries (runs of 6 in ``itertools.permutations`` order) reuse
+    that prefix's tails.  The prefix is compared for every permutation,
+    so the counts do not depend on the order.  The insertion shape only
+    grows, so a run whose prefix is already outside the class (three
+    rows for b, not a hook for m) is skipped whole.
+    """
+    counts = [0] * (n + 1)
     want_b = label == "avoid321_permutations"
     want_m = label == "hook_pair_permutations"
-    for p in _permutations_of(n, first):
-        tails: list[int] = []
-        for x in p:
-            i = bisect_left(tails, x)
-            if i == len(tails):
-                tails.append(x)
-            else:
-                tails[i] = x
-        k = len(tails)
+    m = max(n - 3, 0)
+    top = n + 1
+    for prefix, run in itertools.groupby(_permutations_of(n, first), itemgetter(slice(m))):
+        up_head = [top] * n
+        for x in prefix:
+            up_head[bisect_left(up_head, x)] = x
         if want_b or want_m:
-            tails = []
-            for x in reversed(p):
-                i = bisect_left(tails, x)
-                if i == len(tails):
-                    tails.append(x)
-                else:
-                    tails[i] = x
-            down = len(tails)
-            if want_b and down > 2:
+            down_head = [0] * n
+            for x in prefix:
+                down_head[bisect_left(down_head, -x)] = -x
+            k, d = bisect_left(up_head, top), bisect_left(down_head, 0)
+            # An empty prefix (n <= 3) rules nothing out.
+            if want_b and d > 2 or want_m and m and k + d != m + 1:
                 continue
-            if want_m and k + down != n + 1:
-                continue
-        counts[k] += 1
-    return counts
+        for p in run:
+            up = up_head[:]
+            for x in p[m:]:
+                up[bisect_left(up, x)] = x
+            k = bisect_left(up, top)
+            if want_b or want_m:
+                down = down_head[:]
+                for x in p[m:]:
+                    down[bisect_left(down, -x)] = -x
+                d = bisect_left(down, 0)
+                if want_b and d > 2 or want_m and k + d != n + 1:
+                    continue
+            counts[k] += 1
+    return Counter({k: c for k, c in enumerate(counts) if c})
 
 
 def _sweep_worker(args: tuple[str, int, int]) -> Counter:
@@ -390,16 +409,24 @@ def sequence_json(seq: ClassSequence) -> dict:
 
 
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:
-    """Number of standard tableaux of a shape, via the hook-length product."""
+    """Number of standard tableaux of a shape, via the hook-length product
+    (1 for the empty shape)."""
     if not tableaux.is_partition(shape):
         raise ValueError(f"not a partition: {shape}")
-    n = sum(shape)
-    conj = [sum(1 for r in shape if r > j) for j in range(shape[0])]
-    prod = 1
-    for i, r in enumerate(shape):
-        for j in range(r):
-            prod *= (r - j) + (conj[j] - i) - 1
-    count, rem = divmod(factorial(n), prod)
+    # conj[j], the number of rows longer than j: count the rows ending at
+    # each column, then sum those counts from the right.
+    ends = [0] * (shape[0] if shape else 0)
+    for r in shape:
+        ends[r - 1] += 1
+    conj = list(itertools.accumulate(reversed(ends)))[::-1]
+    # Conjugation swaps arms and legs, so both orientations give the same
+    # hook lengths; take the one with fewer rows.
+    rows, cols = (shape, conj) if len(shape) <= len(conj) else (conj, shape)
+    hooks = 1
+    for i, r in enumerate(rows):
+        # Row i: arm r - 1 - j plus leg cols[j] - i - 1, plus 1.
+        hooks *= prod(map(add, range(r - 1 - i, -1 - i, -1), cols))
+    count, rem = divmod(factorial(sum(shape)), hooks)
     assert rem == 0
     return count
 

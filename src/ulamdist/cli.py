@@ -144,6 +144,8 @@ def _cmd_rsk(args) -> int:
 def _cmd_inject_hook(args) -> int:
     t1 = parse_tableau(args.t1)
     t2 = parse_tableau(args.t2)
+    if t1.n != t2.n:
+        raise ValueError(f"t1 and t2 differ in size: {t1.n} vs {t2.n}")
     u1, u2 = injections.hook_inject(
         t1.n, len(t1.rows[0]), len(t2.rows[0]), t1, t2
     )

@@ -32,7 +32,7 @@ Shape = tuple[int, ...]
 
 def is_partition(rows: Sequence[int]) -> bool:
     """True iff rows is a weakly decreasing sequence of positive integers."""
-    return all(r >= 1 for r in rows) and all(a >= b for a, b in zip(rows, rows[1:]))
+    return all(map(ge, rows, rows[1:])) and (not rows or rows[-1] >= 1)
 
 
 def check_tableau(rows: Sequence[Sequence[int]]) -> None:
@@ -216,17 +216,45 @@ def hook_tableaux(n: int, k: int | None = None) -> Iterator[Tableau]:
 
 
 def partitions(n: int) -> Iterator[Shape]:
-    """All partitions of n as weakly decreasing tuples."""
+    """All partitions of n as weakly decreasing tuples, in reverse
+    lexicographic order: ``(n,)`` first, ``(1,) * n`` last, ``()`` alone
+    for n = 0.  Protected enumeration, and so the order of its witnesses,
+    follows this order.
 
-    def rec(remaining: int, largest: int) -> Iterator[Shape]:
-        if remaining == 0:
+    Iterative (Zoghbi and Stojmenovic's ZS1): each step lowers the last
+    part above 1 by one and refills what it frees, together with the
+    trailing 1s, greedily with parts no larger than the lowered one.
+    """
+    if n < 1:
+        if n == 0:
             yield ()
+        return
+    parts = [1] * n
+    parts[0] = n
+    length, last_big = 1, 0  # parts in use; index of the last part above 1
+    while True:
+        yield tuple(parts[:length])
+        if length == n:
             return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+        r = parts[last_big]
+        if r == 2:
+            parts[last_big] = 1
+            length += 1
+            last_big -= 1
+            continue
+        r -= 1
+        free = length - last_big  # one off the lowered part, plus the 1s
+        parts[last_big] = r
+        while free >= r:
+            last_big += 1
+            parts[last_big] = r
+            free -= r
+        length = last_big + 1
+        if free:
+            length += 1
+            if free > 1:
+                last_big += 1
+                parts[last_big] = free
 
 
 def standard_tableaux(shape: Sequence[int]) -> Iterator[Tableau]:

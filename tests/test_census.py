@@ -1,5 +1,8 @@
 import itertools
 import json
+import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -80,6 +83,12 @@ class TestBudget:
         with pytest.raises(ValueError):
             enumeration_cap("u")
 
+    @pytest.mark.parametrize("raw, cap", [("0", 0), ("-1", -1), ("u=5, involutions=0", 0)])
+    def test_env_cap_below_one_rejected(self, monkeypatch, raw, cap):
+        monkeypatch.setenv("ULAM_BUDGET", raw)
+        with pytest.raises(ValueError, match=f"ULAM_BUDGET caps must be >= 1, got {cap}$"):
+            enumeration_cap("u")
+
     def test_explicit_cap_overrides(self):
         seq = sequence("all_permutations", 6, cap=6)
         assert seq.total == 720
@@ -131,6 +140,56 @@ class TestSequences:
             )
 
 
+SWEEP_LABELS = ["all_permutations", "avoid321_permutations", "hook_pair_permutations"]
+
+
+@lru_cache(maxsize=None)
+def _lis_lds_by_first(n):
+    """(first entry, lis, lds) of every permutation of 1..n, the slow way."""
+    return [
+        (p[0], lis_length(p), lds_length(p))
+        for p in itertools.permutations(range(1, n + 1))
+    ]
+
+
+def _brute_sweep(label, n, first):
+    counts = Counter()
+    for head, k, d in _lis_lds_by_first(n):
+        if first is not None and head != first:
+            continue
+        if label == "avoid321_permutations" and d > 2:
+            continue
+        if label == "hook_pair_permutations" and k + d != n + 1:
+            continue
+        counts[k] += 1
+    return dict(counts)
+
+
+class TestSweepOracle:
+    """The sweep loop against lis_length/lds_length over every permutation."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("label", SWEEP_LABELS)
+    def test_serial_and_each_first_entry(self, label, n):
+        for first in (None, *range(1, n + 1)):
+            assert dict(census._sweep_counts(label, n, first)) == _brute_sweep(label, n, first)
+
+    @pytest.mark.parametrize("label", SWEEP_LABELS)
+    def test_any_enumeration_order(self, label, monkeypatch):
+        # Prefix state is shared between permutations that follow each other;
+        # an order with no runs of equal prefixes must give the same counts.
+        def shuffled(n, first):
+            perms = [p for p in itertools.permutations(range(1, n + 1))
+                     if first is None or p[0] == first]
+            random.Random(n).shuffle(perms)
+            return iter(perms)
+
+        monkeypatch.setattr(census, "_permutations_of", shuffled)
+        for n in range(1, 8):
+            for first in (None, 1, n):
+                assert dict(census._sweep_counts(label, n, first)) == _brute_sweep(label, n, first)
+
+
 class TestShapeCounts:
     def test_matches_enumeration(self):
         for n in range(1, 8):
@@ -141,6 +200,31 @@ class TestShapeCounts:
         assert count_standard_tableaux((2, 2)) == 2
         assert count_standard_tableaux((3, 2)) == 5
         assert count_standard_tableaux((1, 1, 1)) == 1
+
+    def test_count_standard_tableaux_of_the_empty_shape(self):
+        assert count_standard_tableaux(()) == 1
+
+    def test_count_standard_tableaux_obeys_the_branching_rule(self):
+        # f^lambda is the sum of f over the shapes with one corner removed.
+        @lru_cache(maxsize=None)
+        def branching(shape):
+            if not shape:
+                return 1
+            total = 0
+            for i, r in enumerate(shape):
+                if i + 1 == len(shape) or shape[i + 1] < r:
+                    smaller = shape[:i] + (r - 1,) + shape[i + 1:]
+                    total += branching(tuple(x for x in smaller if x))
+            return total
+
+        for n in range(1, 13):
+            for shape in tableaux.partitions(n):
+                assert count_standard_tableaux(shape) == branching(shape)
+
+    def test_count_standard_tableaux_rejects_a_non_partition(self):
+        for bad in [(2, 3), (2, 0), (0,), (-1,)]:
+            with pytest.raises(ValueError, match="not a partition"):
+                count_standard_tableaux(bad)
 
     def test_reaches_beyond_the_enumeration_cap(self):
         seq = lis_counts_by_shape(15)

@@ -90,6 +90,15 @@ class TestSequence:
         assert code == 2
         assert "(5000! ~ 4.23e16325 permutations)" in err
 
+    @pytest.mark.parametrize(
+        "raw, cap", [("-1", -1), ("0", 0), ("all_permutations=0", 0), ("u=-1", -1)]
+    )
+    def test_budget_cap_below_one_is_usage_error(self, capsys, monkeypatch, raw, cap):
+        monkeypatch.setenv("ULAM_BUDGET", raw)
+        code, out, err = run(capsys, "sequence", "--class", "u", "--n", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: ULAM_BUDGET caps must be >= 1, got {cap}\n"
+
     @pytest.mark.parametrize("label", ["u", "b", "m"])
     def test_sweep_classes_reject_lm(self, capsys, label):
         code, out, err = run(
@@ -226,6 +235,11 @@ class TestInject:
         code, _, err = run(capsys, "inject", "hook", "--t1", "1,2/3", "--t2", "1,2,3")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_tableaux_of_different_sizes_are_usage_error(self, capsys):
+        code, out, err = run(capsys, "inject", "hook", "--t1", "1/2/3", "--t2", "1,2,3,4")
+        assert code == 2 and out == ""
+        assert err == "error: t1 and t2 differ in size: 3 vs 4\n"
 
     def test_malformed_tableau(self, capsys):
         code, _, err = run(capsys, "inject", "hook", "--t1", "1,q/3", "--t2", "1,2,3")

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ulamdist.permutations import inverse, is_involution, lis_length
 from ulamdist.tableaux import (
@@ -60,6 +62,22 @@ class TestTableauValidation:
         assert is_partition((3, 2, 2))
         assert not is_partition((2, 3))
         assert not is_partition((2, 0))
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-3, 6), max_size=8),
+            st.lists(st.integers(-2, 6), max_size=8).map(lambda r: sorted(r, reverse=True)),
+        )
+    )
+    @example([])
+    @example([0])
+    @example([-1])
+    @example([1, 2])
+    @example([3, 3, 0])
+    def test_partition_check_matches_the_comprehension(self, rows):
+        expected = all(r >= 1 for r in rows) and all(a >= b for a, b in zip(rows, rows[1:]))
+        assert is_partition(rows) is expected
+        assert is_partition(tuple(rows)) is expected
 
 
 class TestRsk:
@@ -144,10 +162,44 @@ class TestHooks:
         assert t.rows == ((1, 3, 4), (2,), (5,))
 
 
+def _partitions_reference(remaining, largest):
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, largest), 0, -1):
+        for rest in _partitions_reference(remaining - first, first):
+            yield (first,) + rest
+
+
+def _euler_partition_counts(n_max):
+    """p(0..n_max) from Euler's pentagonal number recurrence."""
+    p = [1]
+    for n in range(1, n_max + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= n:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= n:
+                    total += sign * p[n - g]
+            j += 1
+        p.append(total)
+    return p
+
+
 class TestGeneration:
     def test_partition_counts(self):
         assert sum(1 for _ in partitions(5)) == 7
         assert list(partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
+
+    def test_partitions_match_the_recursive_reference_in_order(self):
+        for n in range(31):
+            assert list(partitions(n)) == list(_partitions_reference(n, n))
+
+    def test_partition_counts_match_euler(self):
+        p = _euler_partition_counts(60)
+        assert p[40] == 37_338 and p[60] == 966_467
+        for n in [*range(41), 50, 60]:
+            assert sum(1 for _ in partitions(n)) == p[n]
 
     def test_standard_tableaux_counts(self):
         assert sum(1 for _ in standard_tableaux((2, 2))) == 2
