@@ -465,6 +465,43 @@ class TestVerifyFormulas:
         ratio = reports["protected24_ratio"]
         assert [m.split(":")[0] for m in ratio.mismatches] == ["ratio n=5", "ratio n=6"]
 
+    def test_report_is_pinned(self):
+        assert [r.to_json() for r in verify_formulas(10)] == [
+            {"formula": name, "n_max": n_max, "ok": True, "mismatches": []}
+            for name, n_max in [
+                ("hooks_binomial", 10), ("two_row_tableaux_count", 10),
+                ("avoid321_involutions_count", 10), ("skew_merged_binomial", 10),
+                ("protected24_and_hook_plus_box", 10), ("hook_pair_squares", 8),
+                ("protected24_ratio", 10),
+            ]
+        ]
+
+    def test_mismatches_of_a_predicate_that_keeps_every_tableau_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "is_lm_protected", lambda t, l, m: True)
+        reports = {r.name: r for r in verify_formulas(7)}
+        assert [name for name, r in reports.items() if not r.ok] == [
+            "protected24_and_hook_plus_box", "protected24_ratio",
+        ]
+        assert reports["protected24_and_hook_plus_box"].mismatches == (
+            "protected24 total n=5: formula 8 vs count 10",
+            "protected24 total n=6: formula 24 vs count 34",
+            "protected24 total n=7: formula 64 vs count 98",
+        )
+        assert reports["protected24_ratio"].mismatches == (
+            "ratio n=5: p=10 b=10 outside (1/2, 2/2)",
+            "ratio n=6: p=34 b=34 outside (1/2, 3/4)",
+            "ratio n=7: p=98 b=98 outside (1/2, 4/6)",
+        )
+
+    def test_mismatches_of_a_hook_enumeration_missing_a_tableau_are_pinned(self, monkeypatch):
+        hook_tableaux = tableaux.hook_tableaux
+        monkeypatch.setattr(tableaux, "hook_tableaux", lambda n: list(hook_tableaux(n))[:-1])
+        reports = {r.name: r for r in verify_formulas(7)}
+        assert [name for name, r in reports.items() if not r.ok] == ["hooks_binomial"]
+        assert reports["hooks_binomial"].mismatches == tuple(
+            f"hooks n={n} k={n}: formula 1 vs count 0" for n in range(1, 8)
+        )
+
 
 class TestSerialization:
     def test_csv(self):

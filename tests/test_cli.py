@@ -78,6 +78,14 @@ class TestSequence:
         assert code == 2 and out == ""
         assert err.startswith("error: class ") and "takes no lm parameter" in err
 
+    def test_shapes_names_an_unsupported_class_before_its_lm(self, capsys):
+        code, out, err = run(
+            capsys, "sequence", "--class", "h", "--n", "4", "--method", "shapes",
+            "--lm", "2,4",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --method shapes is not available for 'h'\n"
+
     @pytest.mark.parametrize("label, n", [("u", 13), ("b", 13), ("m", 14)])
     def test_budget_refusal_states_the_permutation_count(self, capsys, label, n):
         code, _, err = run(capsys, "sequence", "--class", label, "--n", str(n))
