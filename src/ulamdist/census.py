@@ -5,21 +5,8 @@ statistic k: the longest-increasing-subsequence length for permutation
 classes, the first-row length for tableau classes.  ``sequence`` counts
 members by k, ``check_log_concavity`` tests the resulting triangle row,
 and the ``verify_*`` functions drive the exhaustive confirmations of the
-closed-form counts and of the injections.
-
-Labels (short alias in parentheses):
-
-    all_permutations (u)         every permutation of 1..n
-    involutions (i)              p with p o p = id
-    hooks (h)                    hook tableaux of size n
-    protected (p)                (l, m)-protected tableaux; needs lm=
-    two_row_involutions (a)      involutions avoiding 321
-    avoid321_permutations (b)    permutations avoiding 321
-    hook_pair_permutations (m)   permutations whose insertion shape is a hook
-    skew_merged_involutions      involutions avoiding 2143 and 3412
-    two_row_tableaux             tableaux with at most two rows
-    protected24_tableaux         (2, 4)-protected tableaux
-    hook_plus_box_tableaux       tableaux shaped like a hook plus a (2, 2) box
+closed-form counts and of the injections.  The labels and every fact
+about them live in one table, ``_CLASSES``.
 
 Enumeration is capped per label; the ``ULAM_BUDGET`` environment variable
 raises or lowers the caps (a bare integer applies to every label, or a
@@ -39,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial, floor, lgamma, log, prod
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import injections, paths, permutations, tableaux
 from .permutations import Perm
@@ -50,53 +37,99 @@ class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
 
 
-_ALIASES = {
-    "u": "all_permutations",
-    "i": "involutions",
-    "h": "hooks",
-    "p": "protected",
-    "a": "two_row_involutions",
-    "b": "avoid321_permutations",
-    "m": "hook_pair_permutations",
-}
+class _Class(NamedTuple):
+    """Everything the census knows about one class label.
 
-_DEFAULT_CAPS = {
-    "all_permutations": 12,
-    "involutions": 13,
-    "hooks": 16,
-    "protected": 11,
-    "two_row_involutions": 13,
-    "avoid321_permutations": 12,
-    "hook_pair_permutations": 12,
-    "skew_merged_involutions": 12,
-    "two_row_tableaux": 16,
-    "protected24_tableaux": 16,
-    "hook_plus_box_tableaux": 16,
-}
+    The members of size n are ``base(n)``, kept where ``member(n, lm, x)``
+    holds when there is a filter.  A swept class filters all of S_n and is
+    counted by ``_sweep_counts``, which ``jobs`` fans out.  ``per_k(n, k)``
+    and ``total(n)`` are closed forms; a ``shape_weight`` e makes the count
+    at k the sum of (f^shape)^e over the shapes of n with first row k.
+    Every callable looks its helpers up when called, so patching or
+    rebinding a module-level name reaches it.
+    """
 
-_PERM_LABELS = {
-    "all_permutations",
-    "involutions",
-    "two_row_involutions",
-    "avoid321_permutations",
-    "hook_pair_permutations",
-    "skew_merged_involutions",
-}
+    alias: Optional[str]
+    cap: int
+    base: Callable[[int], Iterator]
+    member: Optional[Callable[[int, Optional[tuple[int, int]], object], bool]] = None
+    perms: bool = True
+    swept: bool = False
+    per_k: Optional[Callable[[int, int], int]] = None
+    total: Optional[Callable[[int], int]] = None
+    shape_weight: Optional[int] = None
 
-# Classes swept by filtering all n! permutations; these support parallel
-# partitioning by first entry.
-_FULL_SWEEP_LABELS = {
-    "all_permutations",
-    "avoid321_permutations",
-    "hook_pair_permutations",
+    def members(self, n: int, lm: Optional[tuple[int, int]]) -> Iterator:
+        candidates = self.base(n)
+        if self.member is None:
+            return candidates
+        return (x for x in candidates if self.member(n, lm, x))
+
+    def stat(self, x) -> int:
+        """LIS length of a permutation, first-row length of a tableau."""
+        return permutations.lis_length(x) if self.perms else len(x.rows[0])
+
+
+_CLASSES: dict[str, _Class] = {
+    # every permutation of 1..n
+    "all_permutations": _Class(
+        "u", 12, lambda n: _permutations_of(n, None), swept=True, shape_weight=2,
+    ),
+    # p with p o p = id
+    "involutions": _Class("i", 13, lambda n: involutions(n), shape_weight=1),
+    # hook tableaux of size n
+    "hooks": _Class(
+        "h", 16, lambda n: tableaux.hook_tableaux(n), perms=False,
+        per_k=lambda n, k: _hook_count(n, k),
+    ),
+    # (l, m)-protected tableaux; needs lm
+    "protected": _Class(
+        "p", 11, lambda n: tableaux.all_standard_tableaux(n),
+        lambda n, lm, t: tableaux.is_lm_protected(t, *lm), perms=False,
+    ),
+    # involutions avoiding 321
+    "two_row_involutions": _Class(
+        "a", 13, lambda n: involutions(n), lambda n, lm, p: permutations.lds_length(p) <= 2,
+        per_k=lambda n, k: _two_row_count(n, k),
+    ),
+    # permutations avoiding 321
+    "avoid321_permutations": _Class(
+        "b", 12, lambda n: _permutations_of(n, None),
+        lambda n, lm, p: permutations.lds_length(p) <= 2,
+        swept=True, per_k=lambda n, k: _two_row_count(n, k) ** 2,
+    ),
+    # permutations whose insertion shape is a hook
+    "hook_pair_permutations": _Class(
+        "m", 12, lambda n: _permutations_of(n, None),
+        lambda n, lm, p: permutations.lis_length(p) + permutations.lds_length(p) == n + 1,
+        swept=True, per_k=lambda n, k: _hook_count(n, k) ** 2,
+    ),
+    # involutions avoiding 2143 and 3412
+    "skew_merged_involutions": _Class(
+        None, 12, lambda n: involutions(n), lambda n, lm, p: permutations.is_skew_merged(p),
+        per_k=lambda n, k: _hook_count(n, k), total=lambda n: 2 ** (n - 1),
+    ),
+    # tableaux with at most two rows
+    "two_row_tableaux": _Class(None, 16, lambda n: _two_row_tableaux(n), perms=False),
+    # (2, 4)-protected tableaux of the hook-plus-box shapes
+    "protected24_tableaux": _Class(
+        None, 16, lambda n: _hook_plus_box_tableaux(n),
+        lambda n, lm, t: tableaux.is_lm_protected(t, 2, 4), perms=False,
+        total=lambda n: (n - 3) * 2 ** (n - 3) if n >= 4 else 0,
+    ),
+    # tableaux shaped like a hook plus a (2, 2) box
+    "hook_plus_box_tableaux": _Class(
+        None, 16, lambda n: _hook_plus_box_tableaux(n), perms=False,
+        total=lambda n: (n - 4) * 2 ** (n - 2) + 2 if n >= 4 else 0,
+    ),
 }
 
 
 def resolve_label(label: str) -> str:
-    canonical = _ALIASES.get(label, label)
-    if canonical not in _DEFAULT_CAPS:
-        raise ValueError(f"unknown class label {label!r}")
-    return canonical
+    for canonical, row in _CLASSES.items():
+        if label in (canonical, row.alias):
+            return canonical
+    raise ValueError(f"unknown class label {label!r}")
 
 
 def enumeration_cap(label: str) -> int:
@@ -104,15 +137,17 @@ def enumeration_cap(label: str) -> int:
     canonical = resolve_label(label)
     raw = os.environ.get("ULAM_BUDGET", "").strip()
     if not raw:
-        return _DEFAULT_CAPS[canonical]
+        return _CLASSES[canonical].cap
     if "=" not in raw:
         return _parse_cap(raw, f"ULAM_BUDGET={raw!r}")
-    caps = dict(_DEFAULT_CAPS)
+    cap = _CLASSES[canonical].cap
     for part in raw.split(","):
         name, _, value = part.partition("=")
         name = resolve_label(name.strip())
-        caps[name] = _parse_cap(value, f"ULAM_BUDGET entry {part!r}")
-    return caps[canonical]
+        parsed = _parse_cap(value, f"ULAM_BUDGET entry {part!r}")
+        if name == canonical:
+            cap = parsed
+    return cap
 
 
 def _parse_cap(text: str, source: str) -> int:
@@ -144,9 +179,7 @@ def _check_budget(label: str, n: int, cap: Optional[int]) -> None:
     _check_n(n)
     limit = enumeration_cap(label) if cap is None else cap
     if n > limit:
-        size = (
-            f" ({_factorial_text(n)} permutations)" if label in _FULL_SWEEP_LABELS else ""
-        )
+        size = f" ({_factorial_text(n)} permutations)" if _CLASSES[label].swept else ""
         raise BudgetError(
             f"enumeration of {label!r} at n={n} exceeds the cap {limit}{size}; "
             f"set ULAM_BUDGET to raise it"
@@ -235,35 +268,7 @@ def enumerate_class(
     canonical = resolve_label(label)
     _check_budget(canonical, n, cap)
     _check_lm(canonical, lm, n)
-
-    if canonical == "all_permutations":
-        return _permutations_of(n, None)
-    if canonical == "involutions":
-        return involutions(n)
-    if canonical == "two_row_involutions":
-        return (p for p in involutions(n) if permutations.lds_length(p) <= 2)
-    if canonical == "avoid321_permutations":
-        return (p for p in _permutations_of(n, None) if permutations.lds_length(p) <= 2)
-    if canonical == "hook_pair_permutations":
-        return (
-            p
-            for p in _permutations_of(n, None)
-            if permutations.lis_length(p) + permutations.lds_length(p) == n + 1
-        )
-    if canonical == "skew_merged_involutions":
-        return (p for p in involutions(n) if permutations.is_skew_merged(p))
-    if canonical == "hooks":
-        return tableaux.hook_tableaux(n)
-    if canonical == "two_row_tableaux":
-        return _two_row_tableaux(n)
-    if canonical == "protected":
-        l, m = lm
-        return (t for t in tableaux.all_standard_tableaux(n) if tableaux.is_lm_protected(t, l, m))
-    if canonical == "protected24_tableaux":
-        return (t for t in _hook_plus_box_tableaux(n) if tableaux.is_lm_protected(t, 2, 4))
-    if canonical == "hook_plus_box_tableaux":
-        return _hook_plus_box_tableaux(n)
-    raise AssertionError(canonical)
+    return _CLASSES[canonical].members(n, lm)
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +346,6 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     return Counter({k: c for k, c in enumerate(counts) if c})
 
 
-def _sweep_worker(args: tuple[str, int, int]) -> Counter:
-    label, n, first = args
-    return _sweep_counts(label, n, first)
-
-
-def _stat_counts(label: str, n: int, lm: Optional[tuple[int, int]]) -> Counter:
-    if label in _FULL_SWEEP_LABELS:
-        return _sweep_counts(label, n, None)
-    members = enumerate_class(label, n, lm=lm, cap=n)
-    counts: Counter = Counter()
-    if label in _PERM_LABELS:
-        for p in members:
-            counts[permutations.lis_length(p)] += 1
-    else:
-        for t in members:
-            counts[len(t.rows[0])] += 1
-    return counts
-
-
 def sequence(
     label: str,
     n: int,
@@ -370,21 +356,29 @@ def sequence(
 ) -> ClassSequence:
     """Count class members by statistic k via exhaustive enumeration.
 
-    ``jobs`` > 1 fans the full-sweep permutation classes out over worker
-    processes, one first-entry partition each; results are identical to a
-    serial run.
+    ``jobs`` > 1 fans a class swept over S_n out over worker processes, one
+    first-entry partition each; results are identical to a serial run.
+    Other classes take no ``jobs`` above 1, and no class takes one below 1.
     """
     canonical = resolve_label(label)
+    row = _CLASSES[canonical]
     _check_budget(canonical, n, cap)
     _check_lm(canonical, lm, n)
-    if jobs and jobs > 1 and canonical in _FULL_SWEEP_LABELS and n > 1:
-        args = [(canonical, n, first) for first in range(1, n + 1)]
-        total: Counter = Counter()
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs is not None and jobs > 1 and not row.swept:
+        swept = ", ".join(name for name, r in _CLASSES.items() if r.swept)
+        raise ValueError(f"jobs > 1 needs a class swept over S_n ({swept}), not {canonical!r}")
+    if not row.swept:
+        counts = Counter(map(row.stat, row.members(n, lm)))
+    elif jobs and jobs > 1 and n > 1:
+        counts = Counter()
         with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
-            for part in pool.map(_sweep_worker, args):
-                total.update(part)
-        return _make_sequence(canonical, n, total)
-    return _make_sequence(canonical, n, _stat_counts(canonical, n, lm))
+            for part in pool.map(partial(_sweep_counts, canonical, n), range(1, n + 1)):
+                counts.update(part)
+    else:
+        counts = _sweep_counts(canonical, n, None)
+    return _make_sequence(canonical, n, counts)
 
 
 def sequence_csv(seq: ClassSequence) -> str:
@@ -431,32 +425,54 @@ def count_standard_tableaux(shape: tuple[int, ...]) -> int:
     return count
 
 
-def lis_counts_by_shape(n: int) -> ClassSequence:
-    """The all-permutations triangle row computed without enumeration.
+def counts_by_shape(label: str, n: int) -> ClassSequence:
+    """A triangle row computed without enumeration, for the classes that are
+    a weighted sum over all shapes of n.
 
-    Row insertion pairs each permutation with two equal-shape tableaux and
-    sends the statistic to the first-row length, so the count at k is the
-    sum of squared tableau counts over shapes with first row k.  Used as a
-    cross-checked accelerator; exhaustive enumeration stays the reference.
+    Row insertion pairs each permutation with two equal-shape tableaux, and
+    each involution with one, and sends the statistic to the first-row
+    length.  So the count at k is the sum of (f^shape)^e over the shapes
+    with first row k: e = 2 for all permutations, 1 for involutions.  Used
+    as a cross-checked accelerator; exhaustive enumeration stays the
+    reference.
     """
+    canonical = resolve_label(label)
+    weight = _CLASSES[canonical].shape_weight
+    if weight is None:
+        raise ValueError(f"--method shapes is not available for {label!r}")
     _check_n(n)
     counts: Counter = Counter()
     for shape in tableaux.partitions(n):
-        counts[shape[0]] += count_standard_tableaux(shape) ** 2
-    return _make_sequence("all_permutations", n, counts)
+        counts[shape[0]] += count_standard_tableaux(shape) ** weight
+    return _make_sequence(canonical, n, counts)
+
+
+def lis_counts_by_shape(n: int) -> ClassSequence:
+    """Shape-wise counterpart of ``sequence("all_permutations", n)``."""
+    return counts_by_shape("all_permutations", n)
 
 
 def involution_counts_by_shape(n: int) -> ClassSequence:
     """Shape-wise counterpart of ``sequence("involutions", n)``."""
-    _check_n(n)
-    counts: Counter = Counter()
-    for shape in tableaux.partitions(n):
-        counts[shape[0]] += count_standard_tableaux(shape)
-    return _make_sequence("involutions", n, counts)
+    return counts_by_shape("involutions", n)
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
+
+
+def _hook_count(n: int, k: int) -> int:
+    """Hook tableaux of size n with first row k: C(n - 1, k - 1)."""
+    return comb(n - 1, k - 1) if 1 <= k <= n else 0
+
+
+def _two_row_count(n: int, k: int) -> int:
+    """Standard tableaux of shape (k, n - k): C(n, k)(2k - n + 1)/(k + 1)."""
+    if not (n + 1) // 2 <= k <= n:
+        return 0
+    count, rem = divmod(comb(n, k) * (2 * k - n + 1), k + 1)
+    assert rem == 0
+    return count
 
 
 def closed_form(label: str, n: int, k: Optional[int] = None) -> int:
@@ -468,47 +484,15 @@ def closed_form(label: str, n: int, k: Optional[int] = None) -> int:
     """
     canonical = resolve_label(label)
     _check_n(n)
-
-    if canonical == "hooks":
-        if k is None:
-            raise ValueError("hooks closed form needs k")
-        return comb(n - 1, k - 1) if 1 <= k <= n else 0
-
-    if canonical == "two_row_involutions":
-        if k is None:
-            raise ValueError("two_row_involutions closed form needs k")
-        if not (n + 1) // 2 <= k <= n:
-            return 0
-        num = comb(n, k) * (2 * k - n + 1)
-        count, rem = divmod(num, k + 1)
-        assert rem == 0
-        return count
-
-    if canonical == "avoid321_permutations":
-        if k is None:
-            raise ValueError("avoid321_permutations closed form needs k")
-        return closed_form("two_row_involutions", n, k) ** 2
-
-    if canonical == "hook_pair_permutations":
-        if k is None:
-            raise ValueError("hook_pair_permutations closed form needs k")
-        return closed_form("hooks", n, k) ** 2
-
-    if canonical == "skew_merged_involutions":
-        if k is None:
-            return 2 ** (n - 1)
-        return comb(n - 1, k - 1) if 1 <= k <= n else 0
-
-    if canonical == "protected24_tableaux":
-        if k is not None:
-            raise ValueError("protected24_tableaux has a total closed form only")
-        return (n - 3) * 2 ** (n - 3) if n >= 4 else 0
-
-    if canonical == "hook_plus_box_tableaux":
-        if k is not None:
-            raise ValueError("hook_plus_box_tableaux has a total closed form only")
-        return (n - 4) * 2 ** (n - 2) + 2 if n >= 4 else 0
-
+    row = _CLASSES[canonical]
+    if k is None and row.total is not None:
+        return row.total(n)
+    if k is not None and row.per_k is not None:
+        return row.per_k(n, k)
+    if row.per_k is not None:
+        raise ValueError(f"{canonical} closed form needs k")
+    if row.total is not None:
+        raise ValueError(f"{canonical} has a total closed form only")
     raise ValueError(f"no closed form for class {canonical!r}")
 
 
@@ -614,6 +598,9 @@ def _check_injection(
     """Apply ``f(k, a, b)`` to every pair of every ``(k, lefts, rights)``
     block and check each image pair (u, v), in this order:
 
+    0. ``f`` itself: a ValueError it raises (a lift whose image tableaux
+       are not standard or differ in shape) counts as a codomain failure,
+       and the pair's other checks are skipped;
     1. ``in_codomain(k, u)`` and ``in_codomain(k, v)``, where a ValueError
        (the validator rejecting a malformed image) counts as a failure;
     2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``,
@@ -634,8 +621,13 @@ def _check_injection(
         seen: dict = {}
         for a in lefts:
             for b in rights:
-                u, v = f(k, a, b)
                 domain += 1
+                try:
+                    u, v = f(k, a, b)
+                except ValueError as exc:
+                    codomain_ok = False
+                    witnesses.append(f"{prefix}codomain: ({a}, {b}) -> error: {exc}")
+                    continue
                 try:
                     inside = in_codomain(k, u) and in_codomain(k, v)
                 except ValueError:
@@ -750,20 +742,19 @@ def verify_injection(
         # validates the image tableaux before inverting row insertion.
         classes = (
             ("hook", "hook-class ", "hook_pair_permutations",
-             lambda w: permutations.lis_length(w) + permutations.lds_length(w) == n + 1,
              lambda j, t1, t2: injections.hook_inject(n, j - 1, j + 1, t1, t2)),
             ("two_row", "two-row-class ", "avoid321_permutations",
-             lambda w: permutations.lds_length(w) <= 2,
              lambda j, t1, t2: injections.two_row_inject(t1, t2)),
         )
         domain, injective, codomain_ok, witnesses = 0, True, True, []
-        for name, prefix, label, member, inj in classes:
+        for name, prefix, label, inj in classes:
             if name not in lift_classes:
                 continue
+            member = _CLASSES[label].member
             d, i, c, _, w = _check_injection(
                 _stat_blocks(enumerate_class(label, n), permutations.lis_length, k),
                 lambda j, p1, p2: injections.lift(partial(inj, j), p1, p2),
-                lambda j, w: member(w) and permutations.lis_length(w) == j,
+                lambda j, w: member(n, None, w) and permutations.lis_length(w) == j,
                 prefix=prefix,
                 quote=lambda p: p,
             )
@@ -796,86 +787,62 @@ class FormulaReport:
         }
 
 
-def _compare_sequence(label: str, n: int, count_label: str) -> list[str]:
-    seq = sequence(count_label, n)
-    bad = []
-    for k in range(1, n + 1):
-        expect = closed_form(label, n, k)
-        got = seq.counts.get(k, 0)
-        if expect != got:
-            bad.append(f"{label} n={n} k={k}: formula {expect} vs count {got}")
-    return bad
+# Families of closed forms: (report name, largest n, entries), each entry
+# (closed-form label, enumerated label, total's name or None).  For every
+# n up to the family's largest, the closed-form label's per-k form, where
+# it has one, meets the enumerated count at each 1 <= k <= n, and its total
+# form meets the enumerated total when the entry names it.
+_PROTECTED24_MAX = 14
+_FORMULA_FAMILIES = (
+    ("hooks_binomial", 15, (("hooks", "hooks", None),)),
+    ("two_row_tableaux_count", 14, (("two_row_involutions", "two_row_tableaux", None),)),
+    ("avoid321_involutions_count", 12,
+     (("two_row_involutions", "two_row_involutions", None),)),
+    ("skew_merged_binomial", 11,
+     (("skew_merged_involutions", "skew_merged_involutions", "skew_merged"),)),
+    ("protected24_and_hook_plus_box", _PROTECTED24_MAX,
+     (("protected24_tableaux", "protected24_tableaux", "protected24"),
+      ("hook_plus_box_tableaux", "hook_plus_box_tableaux", "hook_plus_box"))),
+    ("hook_pair_squares", 8, (("hook_pair_permutations", "hook_pair_permutations", None),)),
+)
 
 
 def verify_formulas(n_max: int) -> list[FormulaReport]:
     """Exact closed forms against exhaustive enumeration, each family up to
-    min(n_max, its own cap).
+    min(n_max, its own cap); each class is enumerated once per n.
 
     One family, protected24_ratio, checks a bound rather than a closed form:
     for 5 <= n <= min(n_max, 14) the enumerated totals p_n of (2, 4)-protected
     tableaux and b_n of hook-plus-box tableaux must satisfy
     1/2 < p_n/b_n < (n-3)/(2(n-4)), compared exactly in integers."""
     _check_n(n_max)
+    counted: dict[tuple[str, int], ClassSequence] = {}
     reports = []
+    for name, largest, entries in _FORMULA_FAMILIES:
+        top = min(n_max, largest)
+        bad = []
+        for n in range(1, top + 1):
+            for label, count_label, total_name in entries:
+                if (count_label, n) not in counted:
+                    counted[count_label, n] = sequence(count_label, n)
+                seq, row = counted[count_label, n], _CLASSES[label]
+                checks = []
+                if row.per_k is not None:
+                    checks += [
+                        (f"{label} n={n} k={k}", row.per_k(n, k), seq.counts.get(k, 0))
+                        for k in range(1, n + 1)
+                    ]
+                if total_name is not None:
+                    checks.append((f"{total_name} total n={n}", row.total(n), seq.total))
+                bad += [f"{what}: formula {expect} vs count {got}"
+                        for what, expect, got in checks if expect != got]
+        reports.append(FormulaReport(name, top, not bad, tuple(bad)))
 
-    top = min(n_max, 15)
-    bad = [m for n in range(1, top + 1) for m in _compare_sequence("hooks", n, "hooks")]
-    reports.append(FormulaReport("hooks_binomial", top, not bad, tuple(bad)))
-
-    top = min(n_max, 14)
-    bad = [
-        m
-        for n in range(1, top + 1)
-        for m in _compare_sequence("two_row_involutions", n, "two_row_tableaux")
-    ]
-    reports.append(FormulaReport("two_row_tableaux_count", top, not bad, tuple(bad)))
-
-    top = min(n_max, 12)
-    bad = [
-        m
-        for n in range(1, top + 1)
-        for m in _compare_sequence("two_row_involutions", n, "two_row_involutions")
-    ]
-    reports.append(FormulaReport("avoid321_involutions_count", top, not bad, tuple(bad)))
-
-    top = min(n_max, 11)
+    top = min(n_max, _PROTECTED24_MAX)
     bad = []
-    for n in range(1, top + 1):
-        bad.extend(_compare_sequence("skew_merged_involutions", n, "skew_merged_involutions"))
-        total = sequence("skew_merged_involutions", n).total
-        expect = closed_form("skew_merged_involutions", n)
-        if total != expect:
-            bad.append(f"skew_merged total n={n}: formula {expect} vs count {total}")
-    reports.append(FormulaReport("skew_merged_binomial", top, not bad, tuple(bad)))
-
-    protected_top = min(n_max, 14)
-    protected_totals = {}
-    bad = []
-    for n in range(4, protected_top + 1):
-        p_n = sequence("protected24_tableaux", n).total
-        expect = closed_form("protected24_tableaux", n)
-        if p_n != expect:
-            bad.append(f"protected24 total n={n}: formula {expect} vs count {p_n}")
-        b_n = sequence("hook_plus_box_tableaux", n).total
-        expect = closed_form("hook_plus_box_tableaux", n)
-        if b_n != expect:
-            bad.append(f"hook_plus_box total n={n}: formula {expect} vs count {b_n}")
-        protected_totals[n] = (p_n, b_n)
-    reports.append(
-        FormulaReport("protected24_and_hook_plus_box", protected_top, not bad, tuple(bad))
-    )
-
-    top = min(n_max, 8)
-    bad = [
-        m
-        for n in range(1, top + 1)
-        for m in _compare_sequence("hook_pair_permutations", n, "hook_pair_permutations")
-    ]
-    reports.append(FormulaReport("hook_pair_squares", top, not bad, tuple(bad)))
-
-    bad = []
-    for n in range(5, protected_top + 1):
-        p_n, b_n = protected_totals[n]
+    for n in range(5, top + 1):
+        p_n = counted["protected24_tableaux", n].total
+        b_n = counted["hook_plus_box_tableaux", n].total
         # 1/2 < p/b < (n-3)/(2(n-4)) on the enumerated totals, compared exactly
         # by cross-multiplication.  The closed forms give 2p - b = 2^(n-2) - 2
         # and (n-3)b - 2(n-4)p = 2(n-3), so both sides are strict for n >= 5.
@@ -883,6 +850,6 @@ def verify_formulas(n_max: int) -> list[FormulaReport]:
             bad.append(
                 f"ratio n={n}: p={p_n} b={b_n} outside (1/2, {n - 3}/{2 * (n - 4)})"
             )
-    reports.append(FormulaReport("protected24_ratio", protected_top, not bad, tuple(bad)))
+    reports.append(FormulaReport("protected24_ratio", top, not bad, tuple(bad)))
 
     return reports

@@ -92,15 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sequence(args) -> int:
     lm = _parse_lm(args.lm) if args.lm else None
     if args.method == "shapes":
-        label = census.resolve_label(args.label)
-        if label == "all_permutations":
-            seq = census.lis_counts_by_shape(args.n)
-        elif label == "involutions":
-            seq = census.involution_counts_by_shape(args.n)
-        else:
-            raise ValueError(f"--method shapes is not available for {args.label!r}")
+        if args.jobs not in (None, 1):
+            raise ValueError(f"--method shapes runs serially: --jobs must be 1, got {args.jobs}")
+        seq = census.counts_by_shape(args.label, args.n)
         if lm is not None:
-            raise ValueError(f"class {label!r} takes no lm parameter")
+            raise ValueError(f"class {seq.label!r} takes no lm parameter")
     else:
         seq = census.sequence(args.label, args.n, lm=lm, jobs=args.jobs)
     if args.format == "csv":

@@ -140,6 +140,32 @@ class TestSequences:
             )
 
 
+@pytest.mark.parametrize("label", sorted(census._CLASSES))
+def test_every_row_of_the_class_table_against_enumeration(label):
+    row = census._CLASSES[label]
+    assert census.resolve_label(label) == label
+    if row.alias is not None:
+        assert census.resolve_label(row.alias) == label
+    for n in range(1, min(7, row.cap) + 1):
+        lm = (min(2, n), min(4, n)) if label == "protected" else None
+        members = list(enumerate_class(label, n, lm=lm))
+        stats = Counter(
+            len(x.rows[0]) if isinstance(x, tableaux.Tableau) else lis_length(x)
+            for x in members
+        )
+        seq = sequence(label, n, lm=lm)
+        support = range(min(stats), max(stats) + 1) if stats else ()
+        assert seq.counts == {k: stats[k] for k in support}
+        if row.swept:
+            assert sequence(label, n, jobs=2) == seq
+        if row.per_k is not None:
+            assert [closed_form(label, n, k) for k in range(n + 2)] == [stats[k] for k in range(n + 2)]
+        if row.total is not None:
+            assert closed_form(label, n) == len(members)
+        if row.shape_weight is not None:
+            assert census.counts_by_shape(label, n) == seq
+
+
 SWEEP_LABELS = ["all_permutations", "avoid321_permutations", "hook_pair_permutations"]
 
 
@@ -586,13 +612,20 @@ def test_malformed_images_pass_every_predicate_but_the_validator():
         tableaux.check_tableau(_UNSTANDARD_PROTECTED.rows)
 
 
-def test_lift_with_a_malformed_image_raises(monkeypatch):
+def test_lift_with_a_malformed_image_is_a_codomain_witness(monkeypatch):
+    # lift raises on a non-standard image; the report counts that pair as
+    # outside the codomain and skips its collision check.
     monkeypatch.setattr(
         injections, "two_row_inject",
         lambda t1, t2: (_swap_last_two_of_first_row(t1), _swap_last_two_of_first_row(t2)),
     )
-    with pytest.raises(ValueError, match="not strictly increasing"):
-        verify_injection("lift", 5, lift_classes=("two_row",))
+    report = verify_injection("lift", 5, lift_classes=("two_row",))
+    assert report.domain_size == len(report.witnesses) == 25
+    assert report.codomain_ok is False and report.injective and not report.ok
+    assert report.witnesses[0] == (
+        "two-row-class codomain: ((1, 3, 2, 5, 4), (1, 2, 3, 4, 5)) -> "
+        "error: row (1, 4, 2) is not strictly increasing"
+    )
 
 
 class TestVerifyInjectionRanges:

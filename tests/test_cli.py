@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from ulamdist import paths
+from ulamdist import injections, paths
 from ulamdist.cli import main
 
 from test_census import MALFORMED_IMAGES
@@ -115,6 +115,30 @@ class TestSequence:
         assert code == 2 and out == ""
         assert err.startswith("error: class ") and "takes no lm parameter" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sequence", "--class", "u", "--n", "4", "--jobs", "-1"),
+            ("sequence", "--class", "u", "--n", "4", "--jobs", "0"),
+            ("sequence", "--class", "i", "--n", "4", "--jobs", "2"),
+            ("sequence", "--class", "p", "--n", "5", "--lm", "2,4", "--jobs", "2"),
+            ("sequence", "--class", "u", "--n", "4", "--method", "shapes", "--jobs", "2"),
+            ("sequence", "--class", "i", "--n", "4", "--method", "shapes", "--jobs", "0"),
+            ("verify", "conjecture", "--n-max", "3", "--jobs", "0"),
+        ],
+    )
+    def test_jobs_that_cannot_apply_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "jobs" in err
+
+    @pytest.mark.parametrize("label, n", [("u", 1), ("u", 6), ("b", 6), ("m", 6)])
+    def test_jobs_2_output_matches_serial(self, capsys, label, n):
+        argv = ("sequence", "--class", label, "--n", str(n))
+        _, serial, _ = run(capsys, *argv)
+        code, parallel, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 0 and parallel == serial
+
 
 class TestVerify:
     def test_conjecture_small(self, capsys):
@@ -206,6 +230,18 @@ class TestVerify:
         data = json.loads(out)
         assert data["codomain_ok"] is False and data["ok"] is False
         assert data["witnesses"][0].startswith("codomain: (")
+
+    def test_injection_lift_map_that_raises_exits_1(self, capsys, monkeypatch):
+        # Swapped images differ in shape, so lift itself raises on them.
+        monkeypatch.setattr(injections, "two_row_inject", lambda t1, t2: (t2, t1))
+        code, out, _ = run(capsys, "verify", "injection", "--kind", "lift", "--n", "5")
+        assert code == 1
+        data = json.loads(out)
+        assert data["codomain_ok"] is False and data["ok"] is False
+        assert data["witnesses"][0] == (
+            "two-row-class codomain: ((1, 3, 2, 5, 4), (1, 2, 3, 4, 5)) -> error: shape "
+            "rigidity violated: image components have shapes (5,) and (3, 2)"
+        )
 
     def test_injection_broken_map_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(paths, "flip_inject", lambda p, q: (p, q))
