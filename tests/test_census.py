@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from functools import lru_cache
+from typing import Callable, Iterable, Optional
 
 import pytest
 
@@ -473,6 +474,136 @@ def test_broken_map_report_is_pinned(case, monkeypatch):
     assert {**data, "witnesses": data["witnesses"][:3]} == expect
 
 
+def _flip_swapped(p, q):
+    r, s = _FLIP_INJECT(p, q)
+    return s, r
+
+
+def _flip_first_twice_after_n(p, q):
+    # (r, r) collides whenever p ends in N; the true images otherwise.
+    r, s = _FLIP_INJECT(p, q)
+    return (r, r) if p.steps.endswith("N") else (r, s)
+
+
+def _flip_constant(p, q):
+    # The true image of (E^(n-2) NN, E^n): inside the codomain of the top
+    # block only.
+    n = p.n
+    return _FLIP_INJECT(paths._path("E" * (n - 2) + "NN"), paths._path("E" * n))
+
+
+# Broken flip maps (paths.flip_inject patched) and the exact report each
+# gives at n = 7 and 8: every flag, the number of witnesses and the first
+# three of them, verbatim and in order.
+BROKEN_FLIPS = {
+    ("identity", 7): (
+        lambda p, q: (p, q), 196,
+        {"kind": "flip", "n": 7, "k": None, "domain_size": 98, "injective": True,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "codomain: (EEEENNN, EEEEEEN) -> (EEEENNN, EEEEEEN)",
+             "preimage: (EEEENNN, EEEEEEN) -> (EEEENNN, EEEEEEN)",
+             "codomain: (EEEENNN, EEEEENE) -> (EEEENNN, EEEEENE)"]},
+    ),
+    ("identity", 8): (
+        lambda p, q: (p, q), 992,
+        {"kind": "flip", "n": 8, "k": None, "domain_size": 496, "injective": True,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "codomain: (EEEENNNN, EEEEEENN) -> (EEEENNNN, EEEEEENN)",
+             "preimage: (EEEENNNN, EEEEEENN) -> (EEEENNNN, EEEEEENN)",
+             "codomain: (EEEENNNN, EEEEENEN) -> (EEEENNNN, EEEEENEN)"]},
+    ),
+    ("constant", 7): (
+        _flip_constant, 277,
+        {"kind": "flip", "n": 7, "k": None, "domain_size": 98, "injective": False,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "codomain: (EEEENNN, EEEEEEN) -> (EEEEENE, EEEEEEN)",
+             "preimage: (EEEENNN, EEEEEEN) -> (EEEEENE, EEEEEEN)",
+             "codomain: (EEEENNN, EEEEENE) -> (EEEEENE, EEEEEEN)"]},
+    ),
+    ("constant", 8): (
+        _flip_constant, 1464,
+        {"kind": "flip", "n": 8, "k": None, "domain_size": 496, "injective": False,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "codomain: (EEEENNNN, EEEEEENN) -> (EEEEEENE, EEEEEEEN)",
+             "preimage: (EEEENNNN, EEEEEENN) -> (EEEEEENE, EEEEEEEN)",
+             "codomain: (EEEENNNN, EEEEENEN) -> (EEEEEENE, EEEEEEEN)"]},
+    ),
+    ("swapped", 7): (
+        _flip_swapped, 98,
+        {"kind": "flip", "n": 7, "k": None, "domain_size": 98, "injective": True,
+         "codomain_ok": True, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "preimage: (EEEENNN, EEEEEEN) -> (EEEEENN, EEEENEN)",
+             "preimage: (EEEENNN, EEEEENE) -> (EEEEENN, EEEENNE)",
+             "preimage: (EEEENNN, EEEENEE) -> (EEEENEN, EEEENNE)"]},
+    ),
+    ("swapped", 8): (
+        _flip_swapped, 496,
+        {"kind": "flip", "n": 8, "k": None, "domain_size": 496, "injective": True,
+         "codomain_ok": True, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "preimage: (EEEENNNN, EEEEEENN) -> (EEEEENNN, EEEENENN)",
+             "preimage: (EEEENNNN, EEEEENEN) -> (EEEEENNN, EEEENNEN)",
+             "preimage: (EEEENNNN, EEEEENNE) -> (EEEEENNN, EEEENNNE)"]},
+    ),
+    ("first-twice", 7): (
+        _flip_first_twice_after_n, 100,
+        {"kind": "flip", "n": 7, "k": None, "domain_size": 98, "injective": False,
+         "codomain_ok": True, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "preimage: (EEEENNN, EEEEEEN) -> (EEEENEN, EEEENEN)",
+             "preimage: (EEEENNN, EEEEENE) -> (EEEENNE, EEEENNE)",
+             "preimage: (EEEENNN, EEEENEE) -> (EEEENNE, EEEENNE)"]},
+    ),
+    ("first-twice", 8): (
+        _flip_first_twice_after_n, 716,
+        {"kind": "flip", "n": 8, "k": None, "domain_size": 496, "injective": False,
+         "codomain_ok": True, "type_preserved": None, "preimage_identity": False,
+         "ok": False, "witnesses": [
+             "preimage: (EEEENNNN, EEEEEENN) -> (EEEENENN, EEEENENN)",
+             "preimage: (EEEENNNN, EEEEENEN) -> (EEEENNEN, EEEENNEN)",
+             "preimage: (EEEENNNN, EEEEENNE) -> (EEEENNNE, EEEENNNE)"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FLIPS), ids="{0[0]}-{0[1]}".format)
+def test_broken_flip_report_is_pinned(case, monkeypatch):
+    broken, n_witnesses, expect = BROKEN_FLIPS[case]
+    monkeypatch.setattr(paths, "flip_inject", broken)
+    data = verify_injection("flip", case[1]).to_json()
+    assert len(data["witnesses"]) == n_witnesses
+    assert {**data, "witnesses": data["witnesses"][:3]} == expect
+
+
+_FIXED_HOOK = tableaux.hook_from_first_row(6, (1, 2, 3))
+
+
+def test_hook_map_with_one_image_for_every_k_is_checked_per_k(monkeypatch):
+    # (1,2,3/4/5/6) has first row k + 1 only for k = 2, so only the 50 pairs
+    # of that block lie in the codomain: 10 + 50 + 10 codomain witnesses
+    # come from k = 1, 3, 4, beside the 116 collisions and 92 type failures.
+    monkeypatch.setattr(
+        injections, "hook_inject", lambda n, k, l, t1, t2: (_FIXED_HOOK, _FIXED_HOOK)
+    )
+    data = verify_injection("hook", 6).to_json()
+    assert len(data["witnesses"]) == 278
+    assert Counter(w.split(":")[0] for w in data["witnesses"]) == {
+        "codomain": 70, "collision": 116, "type": 92,
+    }
+    assert {**data, "witnesses": data["witnesses"][:3]} == {
+        "kind": "hook", "n": 6, "k": None, "domain_size": 120, "injective": False,
+        "codomain_ok": False, "type_preserved": False, "preimage_identity": None,
+        "ok": False, "witnesses": [
+            "codomain: (1/2/3/4/5/6, 1,2,3/4/5/6) -> (1,2,3/4/5/6, 1,2,3/4/5/6)",
+            "codomain: (1/2/3/4/5/6, 1,2,4/3/5/6) -> (1,2,3/4/5/6, 1,2,3/4/5/6)",
+            "collision: ('1/2/3/4/5/6', '1,2,3/4/5/6') and (1/2/3/4/5/6, 1,2,4/3/5/6)"]}
+
+
 class TestVerifyFormulas:
     def test_small(self):
         reports = verify_formulas(6)
@@ -662,3 +793,141 @@ class TestVerifyInjectionRanges:
     def test_empty_domain_without_k_is_a_valid_report(self):
         report = verify_injection("hook", 2)
         assert report.domain_size == 0 and report.ok
+
+
+# ---------------------------------------------------------------------------
+# The injection kernel against the loop it replaced
+
+
+# The kernel as it stood before it memoised codomain verdicts and let an
+# inverse check stand in for the seen-dict: every pair's images validated,
+# every pair's image kept.  Kept verbatim as the oracle.
+def _reference_check_injection(
+    blocks: Iterable[tuple[int, list, list]],
+    f: Callable,
+    in_codomain: Callable,
+    check: Optional[tuple[str, Callable]] = None,
+    prefix: str = "",
+    quote: Callable = str,
+) -> tuple[int, bool, bool, bool, list[str]]:
+    """Apply ``f(k, a, b)`` to every pair of every ``(k, lefts, rights)``
+    block and check each image pair (u, v), in this order:
+
+    0. ``f`` itself: a ValueError it raises (a lift whose image tableaux
+       are not standard or differ in shape) counts as a codomain failure,
+       and the pair's other checks are skipped;
+    1. ``in_codomain(k, u)`` and ``in_codomain(k, v)``, where a ValueError
+       (the validator rejecting a malformed image) counts as a failure;
+    2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``,
+       where a ValueError counts as a failure too (a map that leaves the
+       codomain can hand the check an image it cannot read);
+    3. no earlier pair of the same block has the same image.
+
+    Returns the number of pairs, whether the map was injective, whether
+    the images lay in the codomain, whether the named check held, and the
+    witnesses, each formatted only when a check fails.  The earlier pair of
+    a collision is shown as ``(quote(a), quote(b))``.
+    """
+    name, holds = check if check is not None else ("", None)
+    domain = 0
+    injective = codomain_ok = check_ok = True
+    witnesses: list[str] = []
+    for k, lefts, rights in blocks:
+        seen: dict = {}
+        for a in lefts:
+            for b in rights:
+                domain += 1
+                try:
+                    u, v = f(k, a, b)
+                except ValueError as exc:
+                    codomain_ok = False
+                    witnesses.append(f"{prefix}codomain: ({a}, {b}) -> error: {exc}")
+                    continue
+                try:
+                    inside = in_codomain(k, u) and in_codomain(k, v)
+                except ValueError:
+                    inside = False
+                if not inside:
+                    codomain_ok = False
+                    witnesses.append(f"{prefix}codomain: ({a}, {b}) -> ({u}, {v})")
+                if holds is not None:
+                    try:
+                        held = holds(a, b, u, v)
+                    except ValueError:
+                        held = False
+                    if not held:
+                        check_ok = False
+                        witnesses.append(f"{name}: ({a}, {b}) -> ({u}, {v})")
+                key = (u, v)
+                earlier = seen.get(key)
+                if earlier is None:
+                    seen[key] = (a, b)
+                else:
+                    injective = False
+                    shown = (quote(earlier[0]), quote(earlier[1]))
+                    witnesses.append(f"{prefix}collision: {shown} and ({a}, {b})")
+    return domain, injective, codomain_ok, check_ok, witnesses
+
+
+def _reports_by_kernel_and_reference(monkeypatch, *args, **kwargs):
+    new = verify_injection(*args, **kwargs).to_json()
+    with monkeypatch.context() as m:
+        m.setattr(
+            census, "_check_injection",
+            lambda *a, inverse=False, **kw: _reference_check_injection(*a, **kw),
+        )
+        old = verify_injection(*args, **kwargs).to_json()
+    return new, old
+
+
+def _every_k(lo, hi):
+    return [None] + list(range(lo, hi + 1))
+
+
+# (kind, n, keyword arguments, ks): every k in range and the whole domain.
+ORACLE_RUNS = (
+    [("hook", n, {}, _every_k(1, n - 2)) for n in range(1, 10)]
+    + [("flip", n, {}, _every_k((n + 1) // 2, n - 2)) for n in range(1, 11)]
+    + [("protected", n, {"lm": lm}, _every_k(2, n - 1))
+       for n in range(1, 8) for lm in [(1, 1), (2, 4), (2, 3), (3, 5)] if lm[1] <= n]
+    + [("protected", n, {"lm": (2, 4)}, [None]) for n in (8, 9)]
+    + [("lift", n, {"lift_classes": classes}, _every_k(2, n - 1))
+       for n in range(1, 7)
+       for classes in [("hook", "two_row"), ("hook",), ("two_row",), ()]]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, n, kwargs, ks", ORACLE_RUNS,
+    ids=[f"{kind}-{n}-{'-'.join(map(str, kw.get('lm', kw.get('lift_classes', ()))))}"
+         for kind, n, kw, _ in ORACLE_RUNS],
+)
+def test_kernel_reports_match_the_reference_loop(kind, n, kwargs, ks, monkeypatch):
+    for k in ks:
+        new, old = _reports_by_kernel_and_reference(monkeypatch, kind, n, k=k, **kwargs)
+        assert new == old, (kind, n, k)
+
+
+# Every broken or malformed map above, as (module, name, map, args, kwargs).
+ORACLE_BROKEN = {
+    **{f"map-{case}": (injections, attr, broken, args, kwargs)
+       for case, (attr, broken, args, kwargs, _, _) in BROKEN_MAPS.items()},
+    **{f"flip-{name}-{n}": (paths, "flip_inject", broken, ("flip", n), {})
+       for (name, n), (broken, _, _) in BROKEN_FLIPS.items()},
+    **{f"flip-{name}-5": (paths, "flip_inject", BROKEN_FLIPS[name, 7][0], ("flip", 5), {})
+       for name, _ in BROKEN_FLIPS},
+    "hook-fixed": (
+        injections, "hook_inject", lambda n, k, l, t1, t2: (_FIXED_HOOK, _FIXED_HOOK),
+        ("hook", 6), {},
+    ),
+    **{f"malformed-{case}": entry for case, entry in MALFORMED_IMAGES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_BROKEN))
+def test_broken_map_reports_match_the_reference_loop(case, monkeypatch):
+    module, attr, broken, args, kwargs = ORACLE_BROKEN[case]
+    monkeypatch.setattr(module, attr, broken)
+    new, old = _reports_by_kernel_and_reference(monkeypatch, *args, **kwargs)
+    assert not new["ok"]
+    assert new == old
