@@ -24,7 +24,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import comb, factorial, floor, lgamma, log, prod
+from math import comb, factorial, floor, lgamma, log, log10, prod
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -165,21 +165,41 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
+def _scientific(digits: float) -> str:
+    """The number 10^digits as ``<mantissa>e<exponent>``."""
+    exponent = floor(digits)
+    return f"{10 ** (digits - exponent):.2f}e{exponent}"
+
+
 def _factorial_text(n: int) -> str:
     """``n! = <value>``, written approximately once it has over 20 digits
     (Python refuses to print an int of over 4300 digits: n! from n = 1559)."""
     if n <= 20:
         return f"{n}! = {factorial(n)}"
-    digits = lgamma(n + 1) / log(10)
-    exponent = floor(digits)
-    return f"{n}! ~ {10 ** (digits - exponent):.2f}e{exponent}"
+    return f"{n}! ~ {_scientific(lgamma(n + 1) / log(10))}"
 
 
-def _check_budget(label: str, n: int, cap: Optional[int]) -> None:
+# Largest n whose refused injection states its pair count.  Summing the
+# closed forms takes about 40 ms at n = 1000 and grows faster than n^2.
+_PAIRS_N_MAX = 1000
+
+
+def _check_budget(
+    label: str, n: int, cap: Optional[int], pairs: Optional[Callable[[], int]] = None
+) -> None:
+    """Refuse n above the label's cap.  The refusal states the size of the
+    work refused: n! for a class swept over S_n, and ``pairs()``, the
+    domain of an injection, when given and n <= _PAIRS_N_MAX."""
     _check_n(n)
     limit = enumeration_cap(label) if cap is None else cap
     if n > limit:
-        size = f" ({_factorial_text(n)} permutations)" if _CLASSES[label].swept else ""
+        size = ""
+        if _CLASSES[label].swept:
+            size = f" ({_factorial_text(n)} permutations)"
+        elif pairs is not None and n <= _PAIRS_N_MAX:
+            count = pairs()
+            text = str(count) if count < 10 ** 20 else f"~ {_scientific(log10(count))}"
+            size = f" ({text} pairs)"
         raise BudgetError(
             f"enumeration of {label!r} at n={n} exceeds the cap {limit}{size}; "
             f"set ULAM_BUDGET to raise it"
@@ -587,6 +607,25 @@ class InjectionReport:
         }
 
 
+class _Verdicts(dict):
+    """``in_codomain(k, x)`` for the images x of one block, each distinct
+    image checked once; a ValueError (the validator rejecting a malformed
+    image) is a False verdict.  The codomain depends on k, so a memo never
+    outlives its block."""
+
+    def __init__(self, in_codomain: Callable, k: int):
+        super().__init__()
+        self.in_codomain, self.k = in_codomain, k
+
+    def __missing__(self, x) -> bool:
+        try:
+            held = bool(self.in_codomain(self.k, x))
+        except ValueError:
+            held = False
+        self[x] = held
+        return held
+
+
 def _check_injection(
     blocks: Iterable[tuple[int, list, list]],
     f: Callable,
@@ -594,6 +633,7 @@ def _check_injection(
     check: Optional[tuple[str, Callable]] = None,
     prefix: str = "",
     quote: Callable = str,
+    inverse: bool = False,
 ) -> tuple[int, bool, bool, bool, list[str]]:
     """Apply ``f(k, a, b)`` to every pair of every ``(k, lefts, rights)``
     block and check each image pair (u, v), in this order:
@@ -601,12 +641,20 @@ def _check_injection(
     0. ``f`` itself: a ValueError it raises (a lift whose image tableaux
        are not standard or differ in shape) counts as a codomain failure,
        and the pair's other checks are skipped;
-    1. ``in_codomain(k, u)`` and ``in_codomain(k, v)``, where a ValueError
-       (the validator rejecting a malformed image) counts as a failure;
+    1. ``in_codomain(k, u)`` and, if that holds, ``in_codomain(k, v)``,
+       where a ValueError (the validator rejecting a malformed image)
+       counts as a failure; each predicate is a pure function of k and the
+       image, so its verdict is computed once per distinct image of a block;
     2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``,
        where a ValueError counts as a failure too (a map that leaves the
        codomain can hand the check an image it cannot read);
     3. no earlier pair of the same block has the same image.
+
+    ``inverse`` marks the named check as a deterministic left inverse g
+    with g(f(a, b)) == (a, b).  If it holds on every pair of a block, the
+    block's (distinct) pairs have distinct images, so step 3 is skipped and
+    nothing is kept per pair.  A block where it fails on some pair is
+    checked again with step 3, and only that second pass reports.
 
     Returns the number of pairs, whether the map was injective, whether
     the images lay in the codomain, whether the named check held, and the
@@ -614,25 +662,20 @@ def _check_injection(
     a collision is shown as ``(quote(a), quote(b))``.
     """
     name, holds = check if check is not None else ("", None)
-    domain = 0
-    injective = codomain_ok = check_ok = True
-    witnesses: list[str] = []
-    for k, lefts, rights in blocks:
-        seen: dict = {}
+
+    def run(k: int, lefts: list, rights: list, verdicts: _Verdicts, seen: Optional[dict]):
+        """One pass over a block; ``seen`` None skips the collision check."""
+        injective = codomain_ok = check_ok = True
+        witnesses: list[str] = []
         for a in lefts:
             for b in rights:
-                domain += 1
                 try:
                     u, v = f(k, a, b)
                 except ValueError as exc:
                     codomain_ok = False
                     witnesses.append(f"{prefix}codomain: ({a}, {b}) -> error: {exc}")
                     continue
-                try:
-                    inside = in_codomain(k, u) and in_codomain(k, v)
-                except ValueError:
-                    inside = False
-                if not inside:
+                if not (verdicts[u] and verdicts[v]):
                     codomain_ok = False
                     witnesses.append(f"{prefix}codomain: ({a}, {b}) -> ({u}, {v})")
                 if holds is not None:
@@ -643,6 +686,8 @@ def _check_injection(
                     if not held:
                         check_ok = False
                         witnesses.append(f"{name}: ({a}, {b}) -> ({u}, {v})")
+                if seen is None:
+                    continue
                 key = (u, v)
                 earlier = seen.get(key)
                 if earlier is None:
@@ -651,14 +696,39 @@ def _check_injection(
                     injective = False
                     shown = (quote(earlier[0]), quote(earlier[1]))
                     witnesses.append(f"{prefix}collision: {shown} and ({a}, {b})")
+        return injective, codomain_ok, check_ok, witnesses
+
+    domain = 0
+    injective = codomain_ok = check_ok = True
+    witnesses: list[str] = []
+    for k, lefts, rights in blocks:
+        domain += len(lefts) * len(rights)
+        verdicts = _Verdicts(in_codomain, k)
+        block = run(k, lefts, rights, verdicts, None) if inverse else None
+        if block is None or not block[2]:
+            block = run(k, lefts, rights, verdicts, {})
+        injective &= block[0]
+        codomain_ok &= block[1]
+        check_ok &= block[2]
+        witnesses += block[3]
     return domain, injective, codomain_ok, check_ok, witnesses
 
 
+def _gap_ks(n: int, k_filter: Optional[int], lo: int) -> Iterable[int]:
+    """k_filter, or every lo <= k <= n - 2."""
+    return [k_filter] if k_filter is not None else range(lo, n - 1)
+
+
 def _gap_blocks(family: Callable, n: int, k_filter: Optional[int], lo: int):
-    """Blocks (k, family(n, k), family(n, k + 2)) for k_filter, or for every
-    lo <= k <= n - 2."""
-    for k in [k_filter] if k_filter is not None else range(lo, n - 1):
+    """Blocks (k, family(n, k), family(n, k + 2)) for each k of _gap_ks."""
+    for k in _gap_ks(n, k_filter, lo):
         yield k, list(family(n, k)), list(family(n, k + 2))
+
+
+def _gap_pairs(count: Callable[[int, int], int], n: int, k_filter: Optional[int], lo: int):
+    """Pairs of the blocks ``_gap_blocks`` builds from a family with
+    ``count(n, k)`` members at each k, counted without building them."""
+    return sum(count(n, k) * count(n, k + 2) for k in _gap_ks(n, k_filter, lo))
 
 
 def _stat_blocks(members: Iterable, stat: Callable, k_filter: Optional[int]):
@@ -683,15 +753,16 @@ def verify_injection(
     in the declared codomain; counterexamples are reported verbatim.
 
     The maps build their images unchecked, so the codomain checks here run
-    the tableau or path validator on every image: a malformed image is a
-    codomain failure.  An explicit k must lie in the kind's range, lm is
-    for the protected kind only, and sizes beyond the budget of the classes
-    enumerated are refused."""
+    the tableau or path validator on every distinct image of each k: a
+    malformed image is a codomain failure.  An explicit k must lie in the
+    kind's range, lm is for the protected kind only, and sizes beyond the
+    budget of the classes enumerated are refused; a refused hook or flip
+    states its number of pairs."""
     if kind != "protected" and lm is not None:
         raise ValueError(f"injection kind {kind!r} takes no lm parameter")
     type_ok = preimage_ok = None
     if kind == "hook":
-        _check_budget("hooks", n, None)
+        _check_budget("hooks", n, None, lambda: _gap_pairs(_hook_count, n, k, 1))
         _check_k(kind, n, k, 1, n - 2)
 
         def in_hooks(j, u):
@@ -707,7 +778,9 @@ def verify_injection(
             )),
         )
     elif kind == "flip":
-        _check_budget("two_row_tableaux", n, None)
+        _check_budget(
+            "two_row_tableaux", n, None, lambda: _gap_pairs(_two_row_count, n, k, (n + 1) // 2)
+        )
         _check_k(kind, n, k, (n + 1) // 2, n - 2)
 
         def in_paths(j, r):
@@ -719,6 +792,7 @@ def verify_injection(
             lambda j, p, q: paths.flip_inject(p, q),
             in_paths,
             ("preimage", lambda p, q, r, s: paths.flip_preimage(r, s) == (p, q)),
+            inverse=True,
         )
     elif kind == "protected":
         if lm is None:

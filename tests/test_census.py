@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
@@ -759,6 +760,20 @@ def test_lift_with_a_malformed_image_is_a_codomain_witness(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "kind, label, lo", [("hook", "hooks", 1), ("flip", "two_row_tableaux", None)]
+)
+def test_refused_injection_states_its_enumerated_domain_size(kind, label, lo, monkeypatch):
+    for n in range(2, 10):
+        low = (n + 1) // 2 if lo is None else lo
+        for k in [None] + list(range(low, n - 1)):
+            size = verify_injection(kind, n, k=k).domain_size
+            monkeypatch.setenv("ULAM_BUDGET", f"{label}={n - 1}")
+            with pytest.raises(BudgetError, match=rf"cap {n - 1} \({size} pairs\); "):
+                verify_injection(kind, n, k=k)
+            monkeypatch.delenv("ULAM_BUDGET")
+
+
 class TestVerifyInjectionRanges:
     @pytest.mark.parametrize(
         "kind, n, k, lo, hi",
@@ -793,6 +808,42 @@ class TestVerifyInjectionRanges:
     def test_empty_domain_without_k_is_a_valid_report(self):
         report = verify_injection("hook", 2)
         assert report.domain_size == 0 and report.ok
+
+
+def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):
+    calls = Counter()
+    check_tableau = tableaux.check_tableau
+
+    def counted(rows):
+        calls[rows] += 1
+        check_tableau(rows)
+
+    monkeypatch.setattr(tableaux, "check_tableau", counted)
+    report = verify_injection("hook", 7)
+    assert report.ok
+    # Images of block k have first row k + 1, so no two blocks share one.
+    images = {
+        u
+        for k in range(1, 6)
+        for t1 in tableaux.hook_tableaux(7, k)
+        for t2 in tableaux.hook_tableaux(7, k + 2)
+        for u in _HOOK_INJECT(7, k, k + 2, t1, t2)
+    }
+    assert calls == Counter(u.rows for u in images)
+    assert sum(calls.values()) == len(images) == 62 < 2 * report.domain_size == 990
+
+
+def test_flip_keeps_no_memory_per_pair():
+    # The preimage check proves each block injective, so no seen-dict keeps
+    # the 22,924 pairs at n = 11; one that did peaked at about 6 MB.
+    tracemalloc.start()
+    try:
+        report = verify_injection("flip", 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.domain_size == 22924
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from ulamdist import injections, paths
+from ulamdist.census import enumeration_cap
 from ulamdist.cli import main
 
 from test_census import MALFORMED_IMAGES
@@ -249,6 +250,40 @@ class TestVerify:
         assert code == 1
         data = json.loads(out)
         assert data["ok"] is False and data["preimage_identity"] is False
+
+    @pytest.mark.parametrize(
+        "argv, label, size",
+        [
+            (("--kind", "hook", "--n", "17"), "hooks", " (471435600 pairs)"),
+            (("--kind", "hook", "--n", "17", "--k", "3"), "hooks", " (218400 pairs)"),
+            (("--kind", "hook", "--n", "40"), "hooks", " (~ 2.46e22 pairs)"),
+            (("--kind", "flip", "--n", "17"), "two_row_tableaux", " (69818507 pairs)"),
+            (("--kind", "flip", "--n", "17", "--k", "9"), "two_row_tableaux",
+             " (30086056 pairs)"),
+            (("--kind", "flip", "--n", "1000"), "two_row_tableaux", " (~ 2.02e597 pairs)"),
+            # Beyond n = 1000 the count is not summed, so not stated.
+            (("--kind", "flip", "--n", "1001"), "two_row_tableaux", ""),
+            (("--kind", "hook", "--n", "100000000"), "hooks", ""),
+            # The protected domain has no closed form.
+            (("--kind", "protected", "--n", "12", "--lm", "2,4"), "protected", ""),
+        ],
+    )
+    def test_injection_budget_refusal_states_the_pair_count(self, capsys, argv, label, size):
+        code, out, err = run(capsys, "verify", "injection", *argv)
+        assert code == 2 and out == ""
+        n, cap = argv[3], enumeration_cap(label)
+        assert err == (
+            f"error: enumeration of {label!r} at n={n} exceeds the cap {cap}{size}; "
+            "set ULAM_BUDGET to raise it\n"
+        )
+
+    def test_sequence_budget_refusal_of_hooks_states_no_pairs(self, capsys):
+        code, out, err = run(capsys, "sequence", "--class", "h", "--n", "17")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: enumeration of 'hooks' at n=17 exceeds the cap 16; "
+            "set ULAM_BUDGET to raise it\n"
+        )
 
 
 class TestRsk:
