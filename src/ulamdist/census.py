@@ -41,12 +41,13 @@ class _Class(NamedTuple):
     """Everything the census knows about one class label.
 
     The members of size n are ``base(n)``, kept where ``member(n, lm, x)``
-    holds when there is a filter.  A swept class filters all of S_n and is
-    counted by ``_sweep_counts``, which ``jobs`` fans out.  ``per_k(n, k)``
-    and ``total(n)`` are closed forms; a ``shape_weight`` e makes the count
-    at k the sum of (f^shape)^e over the shapes of n with first row k.
-    Every callable looks its helpers up when called, so patching or
-    rebinding a module-level name reaches it.
+    holds when there is a filter; ``contains`` tests one candidate, such as
+    the image of an injection, against the same rule.  A swept class
+    filters all of S_n and is counted by ``_sweep_counts``, which ``jobs``
+    fans out.  ``per_k(n, k)`` and ``total(n)`` are closed forms; a
+    ``shape_weight`` e makes the count at k the sum of (f^shape)^e over the
+    shapes of n with first row k.  Every callable looks its helpers up when
+    called, so patching or rebinding a module-level name reaches it.
     """
 
     alias: Optional[str]
@@ -69,6 +70,17 @@ class _Class(NamedTuple):
         """LIS length of a permutation, first-row length of a tableau."""
         return permutations.lis_length(x) if self.perms else len(x.rows[0])
 
+    def contains(self, n: int, lm: Optional[tuple[int, int]], k: int, x) -> bool:
+        """Whether x is a member of size n with statistic k.  A tableau is
+        validated first, so a malformed one raises ValueError."""
+        if not self.perms:
+            tableaux.check_tableau(x.rows)
+        return (
+            (len(x) if self.perms else x.n) == n
+            and (self.member is None or self.member(n, lm, x))
+            and self.stat(x) == k
+        )
+
 
 _CLASSES: dict[str, _Class] = {
     # every permutation of 1..n
@@ -79,7 +91,8 @@ _CLASSES: dict[str, _Class] = {
     "involutions": _Class("i", 13, lambda n: involutions(n), shape_weight=1),
     # hook tableaux of size n
     "hooks": _Class(
-        "h", 16, lambda n: tableaux.hook_tableaux(n), perms=False,
+        "h", 16, lambda n: tableaux.hook_tableaux(n),
+        lambda n, lm, t: tableaux.is_hook(t), perms=False,
         per_k=lambda n, k: _hook_count(n, k),
     ),
     # (l, m)-protected tableaux; needs lm
@@ -184,14 +197,12 @@ def _factorial_text(n: int) -> str:
 _PAIRS_N_MAX = 1000
 
 
-def _check_budget(
-    label: str, n: int, cap: Optional[int], pairs: Optional[Callable[[], int]] = None
-) -> None:
+def _check_budget(label: str, n: int, pairs: Optional[Callable[[], int]] = None) -> None:
     """Refuse n above the label's cap.  The refusal states the size of the
     work refused: n! for a class swept over S_n, and ``pairs()``, the
     domain of an injection, when given and n <= _PAIRS_N_MAX."""
     _check_n(n)
-    limit = enumeration_cap(label) if cap is None else cap
+    limit = enumeration_cap(label)
     if n > limit:
         size = ""
         if _CLASSES[label].swept:
@@ -282,11 +293,10 @@ def enumerate_class(
     n: int,
     *,
     lm: Optional[tuple[int, int]] = None,
-    cap: Optional[int] = None,
 ) -> Iterator[Perm] | Iterator[Tableau]:
     """Yield every member of a class exactly once."""
     canonical = resolve_label(label)
-    _check_budget(canonical, n, cap)
+    _check_budget(canonical, n)
     _check_lm(canonical, lm, n)
     return _CLASSES[canonical].members(n, lm)
 
@@ -372,7 +382,6 @@ def sequence(
     *,
     lm: Optional[tuple[int, int]] = None,
     jobs: Optional[int] = None,
-    cap: Optional[int] = None,
 ) -> ClassSequence:
     """Count class members by statistic k via exhaustive enumeration.
 
@@ -382,7 +391,7 @@ def sequence(
     """
     canonical = resolve_label(label)
     row = _CLASSES[canonical]
-    _check_budget(canonical, n, cap)
+    _check_budget(canonical, n)
     _check_lm(canonical, lm, n)
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -526,7 +535,6 @@ class LogConcavityReport:
     n: int
     holds: bool
     witnesses: tuple[int, ...]
-    k_range: Optional[tuple[int, int]]
 
     def to_json(self) -> dict:
         return {
@@ -545,24 +553,22 @@ def check_log_concavity(seq: ClassSequence) -> LogConcavityReport:
     witnesses.
     """
     if seq.k_range is None:
-        return LogConcavityReport(seq.label, seq.n, True, (), None)
+        return LogConcavityReport(seq.label, seq.n, True, ())
     lo, hi = seq.k_range
     c = seq.counts
     witnesses = tuple(
         k for k in range(lo + 1, hi) if c[k - 1] * c[k + 1] > c[k] ** 2
     )
-    return LogConcavityReport(seq.label, seq.n, not witnesses, witnesses, seq.k_range)
+    return LogConcavityReport(seq.label, seq.n, not witnesses, witnesses)
 
 
-def verify_conjecture(
-    n_max: int, jobs: Optional[int] = None, cap: Optional[int] = None
-) -> list[LogConcavityReport]:
+def verify_conjecture(n_max: int, jobs: Optional[int] = None) -> list[LogConcavityReport]:
     """Log-concavity of the all-permutations triangle rows for n <= n_max,
     from exhaustive enumeration.  Budget-capped; sizes beyond the cap are
     refused rather than extrapolated."""
-    _check_budget("all_permutations", n_max, cap)
+    _check_budget("all_permutations", n_max)
     return [
-        check_log_concavity(sequence("all_permutations", n, jobs=jobs, cap=cap))
+        check_log_concavity(sequence("all_permutations", n, jobs=jobs))
         for n in range(1, n_max + 1)
     ]
 
@@ -714,21 +720,12 @@ def _check_injection(
     return domain, injective, codomain_ok, check_ok, witnesses
 
 
-def _gap_ks(n: int, k_filter: Optional[int], lo: int) -> Iterable[int]:
-    """k_filter, or every lo <= k <= n - 2."""
-    return [k_filter] if k_filter is not None else range(lo, n - 1)
-
-
-def _gap_blocks(family: Callable, n: int, k_filter: Optional[int], lo: int):
-    """Blocks (k, family(n, k), family(n, k + 2)) for each k of _gap_ks."""
-    for k in _gap_ks(n, k_filter, lo):
-        yield k, list(family(n, k)), list(family(n, k + 2))
-
-
 def _gap_pairs(count: Callable[[int, int], int], n: int, k_filter: Optional[int], lo: int):
-    """Pairs of the blocks ``_gap_blocks`` builds from a family with
-    ``count(n, k)`` members at each k, counted without building them."""
-    return sum(count(n, k) * count(n, k + 2) for k in _gap_ks(n, k_filter, lo))
+    """Pairs with statistics (k, k + 2) of a family with ``count(n, k)``
+    members at each k, for k_filter or every lo <= k <= n - 2, counted
+    without building them."""
+    ks = [k_filter] if k_filter is not None else range(lo, n - 1)
+    return sum(count(n, k) * count(n, k + 2) for k in ks)
 
 
 def _stat_blocks(members: Iterable, stat: Callable, k_filter: Optional[int]):
@@ -752,43 +749,57 @@ def verify_injection(
     """Enumerate an injection's full domain and check it lands injectively
     in the declared codomain; counterexamples are reported verbatim.
 
-    The maps build their images unchecked, so the codomain checks here run
-    the tableau or path validator on every distinct image of each k: a
-    malformed image is a codomain failure.  An explicit k must lie in the
-    kind's range, lm is for the protected kind only, and sizes beyond the
-    budget of the classes enumerated are refused; a refused hook or flip
-    states its number of pairs."""
+    Every kind sends pairs with statistics (j - 1, j + 1) to pairs with
+    statistic j and is checked one block per middle statistic j; hook and
+    flip name a block by k = j - 1, protected and lift by j.  A class
+    injection's codomain is read from the class table: a member of size n
+    with statistic j (``_Class.contains``).  Flip's is the paths of n steps
+    with j east steps.  The maps build their images unchecked, so every
+    distinct image of a block is validated once, and a malformed image is
+    a codomain failure.  An explicit k must lie in the kind's range, lm is
+    for the protected kind only, and sizes beyond the budget of the classes
+    enumerated are refused; a refused hook or flip states its number of
+    pairs."""
     if kind != "protected" and lm is not None:
         raise ValueError(f"injection kind {kind!r} takes no lm parameter")
+    mid = None if k is None else k + 1
+
+    def into_class(label: str, j: Optional[int], f: Callable, **options):
+        """Check f on the blocks of a class by statistic, into that class."""
+        row = _CLASSES[label]
+        return _check_injection(
+            _stat_blocks(enumerate_class(label, n, lm=lm), row.stat, j),
+            f, partial(row.contains, n, lm), **options,
+        )
+
+    def hook_map(j, t1, t2):
+        return injections.hook_inject(n, j - 1, j + 1, t1, t2)
+
     type_ok = preimage_ok = None
     if kind == "hook":
-        _check_budget("hooks", n, None, lambda: _gap_pairs(_hook_count, n, k, 1))
+        _check_budget("hooks", n, lambda: _gap_pairs(_hook_count, n, k, 1))
         _check_k(kind, n, k, 1, n - 2)
-
-        def in_hooks(j, u):
-            tableaux.check_tableau(u.rows)
-            return tableaux.is_hook(u) and u.n == n and len(u.rows[0]) == j + 1
-
-        domain, injective, codomain_ok, type_ok, witnesses = _check_injection(
-            _gap_blocks(tableaux.hook_tableaux, n, k, 1),
-            lambda j, t1, t2: injections.hook_inject(n, j, j + 2, t1, t2),
-            in_hooks,
-            ("type", lambda t1, t2, u1, u2: (
+        domain, injective, codomain_ok, type_ok, witnesses = into_class(
+            "hooks", mid, hook_map,
+            check=("type", lambda t1, t2, u1, u2: (
                 injections.pair_type(u1, u2) == injections.pair_type(t1, t2)
             )),
         )
     elif kind == "flip":
         _check_budget(
-            "two_row_tableaux", n, None, lambda: _gap_pairs(_two_row_count, n, k, (n + 1) // 2)
+            "two_row_tableaux", n, lambda: _gap_pairs(_two_row_count, n, k, (n + 1) // 2)
         )
         _check_k(kind, n, k, (n + 1) // 2, n - 2)
 
         def in_paths(j, r):
             paths.check_path(r.steps)
-            return r.n == n and r.east == j + 1
+            return r.n == n and r.east == j
 
         domain, injective, codomain_ok, preimage_ok, witnesses = _check_injection(
-            _gap_blocks(paths.lattice_paths, n, k, (n + 1) // 2),
+            _stat_blocks(
+                (p for e in range((n + 1) // 2, n + 1) for p in paths.lattice_paths(n, e)),
+                lambda p: p.east, mid,
+            ),
             lambda j, p, q: paths.flip_inject(p, q),
             in_paths,
             ("preimage", lambda p, q, r, s: paths.flip_preimage(r, s) == (p, q)),
@@ -798,16 +809,8 @@ def verify_injection(
         if lm is None:
             raise ValueError("protected verification requires lm")
         _check_k(kind, n, k, 2, n - 1)
-        l, m = lm
-
-        def in_protected(j, u):
-            tableaux.check_tableau(u.rows)
-            return tableaux.is_lm_protected(u, l, m) and len(u.rows[0]) == j
-
-        domain, injective, codomain_ok, _, witnesses = _check_injection(
-            _stat_blocks(enumerate_class("protected", n, lm=lm), lambda t: len(t.rows[0]), k),
-            lambda j, t1, t2: injections.protected_inject(n, j, l, m, t1, t2),
-            in_protected,
+        domain, injective, codomain_ok, _, witnesses = into_class(
+            "protected", k, lambda j, t1, t2: injections.protected_inject(n, j, *lm, t1, t2)
         )
     elif kind == "lift":
         _check_k(kind, n, k, 2, n - 1)
@@ -815,8 +818,7 @@ def verify_injection(
         # from first-row lengths (j - 1, j + 1) to (j, j); lift itself
         # validates the image tableaux before inverting row insertion.
         classes = (
-            ("hook", "hook-class ", "hook_pair_permutations",
-             lambda j, t1, t2: injections.hook_inject(n, j - 1, j + 1, t1, t2)),
+            ("hook", "hook-class ", "hook_pair_permutations", hook_map),
             ("two_row", "two-row-class ", "avoid321_permutations",
              lambda j, t1, t2: injections.two_row_inject(t1, t2)),
         )
@@ -824,13 +826,9 @@ def verify_injection(
         for name, prefix, label, inj in classes:
             if name not in lift_classes:
                 continue
-            member = _CLASSES[label].member
-            d, i, c, _, w = _check_injection(
-                _stat_blocks(enumerate_class(label, n), permutations.lis_length, k),
-                lambda j, p1, p2: injections.lift(partial(inj, j), p1, p2),
-                lambda j, w: member(n, None, w) and permutations.lis_length(w) == j,
-                prefix=prefix,
-                quote=lambda p: p,
+            d, i, c, _, w = into_class(
+                label, k, lambda j, p1, p2: injections.lift(partial(inj, j), p1, p2),
+                prefix=prefix, quote=lambda p: p,
             )
             domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c
             witnesses.extend(w)

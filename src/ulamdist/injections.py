@@ -236,8 +236,6 @@ def protected_inject(
         new_southern = tuple(sorted(set(entries[1:]) - set(new_eastern)))
         out.append(attach_surplus(dec.protected_rows, new_eastern, new_southern))
     u1, u2 = out
-    if not (is_lm_protected(u1, l, m) and is_lm_protected(u2, l, m)):
-        raise AssertionError("image left the protected class; inputs were invalid")
     return u1, u2
 
 

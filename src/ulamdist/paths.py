@@ -160,10 +160,16 @@ def flip_preimage(
 ) -> Optional[tuple[LatticePath, LatticePath]]:
     """Undo :func:`flip_inject`; None when (r, s) is not in its image.
 
-    The cut point is the last common point of the translated r and s.  If
-    there is none, or un-flipping produces a path that crosses the
-    diagonal, or re-applying the flip does not give (r, s) back, the pair
-    has no preimage.
+    The cut point t is the last common point of the translated r and s:
+    the last step count where D = (east steps of s) - (east steps of r) is
+    1.  If there is none, or un-flipping (swapping the tails after t)
+    produces a path that crosses the diagonal, the pair has no preimage.
+    Otherwise the un-flipped pair (p, q) is one, so the flip is not
+    re-applied to check it: up to t the east-step difference of q and p is
+    D itself, and after t it is 2 - D, which is never 1 since D is never 1
+    there (and ends at 2, since r and s take equally many east steps).  So
+    t is also the last crossing of (p, q), the flip cuts there, and
+    swapping the tails again restores (r, s).
     """
     if r.n != s.n:
         raise ValueError(f"paths differ in length: {r.n} vs {s.n}")
@@ -179,7 +185,4 @@ def flip_preimage(
         check_path(q_steps)
     except ValueError:
         return None
-    p, q = _path(p_steps), _path(q_steps)
-    if flip_inject(p, q) != (r, s):
-        return None
-    return (p, q)
+    return _path(p_steps), _path(q_steps)

@@ -74,10 +74,6 @@ class Tableau:
     def shape(self) -> Shape:
         return tuple(map(len, self.rows))
 
-    @property
-    def first_row(self) -> tuple[int, ...]:
-        return self.rows[0]
-
     def __str__(self) -> str:
         return format_tableau(self)
 
@@ -311,10 +307,6 @@ class ProtectedDecomposition:
     @property
     def m(self) -> int:
         return sum(len(row) for row in self.protected_rows)
-
-    @property
-    def protected_shape(self) -> Shape:
-        return tuple(len(row) for row in self.protected_rows)
 
     @property
     def a(self) -> int | None:

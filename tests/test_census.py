@@ -91,10 +91,6 @@ class TestBudget:
         with pytest.raises(ValueError, match=f"ULAM_BUDGET caps must be >= 1, got {cap}$"):
             enumeration_cap("u")
 
-    def test_explicit_cap_overrides(self):
-        seq = sequence("all_permutations", 6, cap=6)
-        assert seq.total == 720
-
     def test_verifiers_refuse_beyond_budget(self, monkeypatch):
         monkeypatch.setenv("ULAM_BUDGET", "4")
         with pytest.raises(BudgetError):
@@ -397,7 +393,25 @@ def _hook_inject_swapped_at_2(n, k, l, t1, t2):
     return (u2, u1) if k == 2 else (u1, u2)
 
 
+def _protected_inject_grown(n, k, l, m, t1, t2):
+    # True images with n + 1 appended as a last row: still (l, m)-protected
+    # tableaux with first row k, but of size n + 1.
+    return tuple(
+        tableaux._tableau(u.rows + ((n + 1,),)) for u in _PROTECTED_INJECT(n, k, l, m, t1, t2)
+    )
+
+
+def _two_row_inject_grown(t1, t2):
+    # True images with n + 1 appended to the second row: two-row tableaux
+    # of size n + 1, which lift to 321-avoiding permutations of n + 1.
+    return tuple(
+        tableaux._tableau((u.rows[0], u.rows[1] + (t1.n + 1,))) for u in _TWO_ROW_INJECT(t1, t2)
+    )
+
+
 _HOOK_INJECT = injections.hook_inject
+_PROTECTED_INJECT = injections.protected_inject
+_TWO_ROW_INJECT = injections.two_row_inject
 
 # Broken maps and the exact report each gives: every flag, the number of
 # witnesses and the first three of them, verbatim and in order.
@@ -462,6 +476,31 @@ BROKEN_MAPS = {
              "((4, 3, 2, 1), (1, 3, 4, 2))",
              "hook-class collision: ((4, 3, 2, 1), (1, 2, 4, 3)) and "
              "((4, 3, 2, 1), (1, 4, 2, 3))"]},
+    ),
+    # Images one size too large: the codomain checks the size of every image.
+    "protected-grown": (
+        "protected_inject", _protected_inject_grown, ("protected", 7), {"lm": (2, 4)}, 384,
+        {"kind": "protected", "n": 7, "k": None, "domain_size": 384, "injective": True,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "codomain: (1,2/3,4/5/6/7, 1,2,4,5/3,6/7) -> "
+             "(1,2,5/3,4/6/7/8, 1,2,5/3,6/4/7/8)",
+             "codomain: (1,2/3,4/5/6/7, 1,2,4,5/3,7/6) -> "
+             "(1,2,5/3,4/6/7/8, 1,2,5/3,7/4/6/8)",
+             "codomain: (1,2/3,4/5/6/7, 1,2,4,6/3,5/7) -> "
+             "(1,2,5/3,4/6/7/8, 1,2,6/3,5/4/7/8)"]},
+    ),
+    "two-row-grown": (
+        "two_row_inject", _two_row_inject_grown, ("lift", 6), {}, 706,
+        {"kind": "lift", "n": 6, "k": None, "domain_size": 5906, "injective": True,
+         "codomain_ok": False, "type_preserved": None, "preimage_identity": None,
+         "ok": False, "witnesses": [
+             "two-row-class codomain: ((2, 1, 4, 3, 6, 5), (1, 2, 3, 4, 6, 5)) -> "
+             "((2, 3, 6, 1, 7, 4, 5), (2, 3, 6, 1, 7, 4, 5))",
+             "two-row-class codomain: ((2, 1, 4, 3, 6, 5), (1, 2, 3, 5, 4, 6)) -> "
+             "((2, 4, 5, 7, 1, 3, 6), (2, 4, 5, 7, 1, 3, 6))",
+             "two-row-class codomain: ((2, 1, 4, 3, 6, 5), (1, 2, 3, 5, 6, 4)) -> "
+             "((2, 4, 5, 7, 1, 3, 6), (2, 3, 6, 1, 7, 4, 5))"]},
     ),
 }
 

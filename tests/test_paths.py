@@ -118,8 +118,10 @@ class TestFlipPreimage:
                         assert flip_preimage(*flip_inject(p, q)) == (p, q)
 
     def test_non_image_pairs_rejected(self):
-        # pairs whose un-flip leaves the class come back as None
-        for n in range(3, 8):
+        # pairs whose un-flip leaves the class come back as None; flip_preimage
+        # does not re-apply the flip, so this is the evidence that it rejects
+        # every pair off the image
+        for n in range(3, 11):
             for k in range((n + 1) // 2, n - 1):
                 image = set()
                 for p in lattice_paths(n, k):
