@@ -22,7 +22,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
 from operator import add, itemgetter
@@ -44,10 +44,12 @@ class _Class(NamedTuple):
     holds when there is a filter; ``contains`` tests one candidate, such as
     the image of an injection, against the same rule.  A swept class
     filters all of S_n and is counted by ``_sweep_counts``, which ``jobs``
-    fans out.  ``per_k(n, k)`` and ``total(n)`` are closed forms; a
-    ``shape_weight`` e makes the count at k the sum of (f^shape)^e over the
-    shapes of n with first row k.  Every callable looks its helpers up when
-    called, so patching or rebinding a module-level name reaches it.
+    fans out; its filter, if any, is ``keep(k, d, n)`` on the LIS k, LDS d
+    and size n, and holds on every prefix of a permutation it keeps.
+    ``per_k(n, k)`` and ``total(n)`` are closed forms; a ``shape_weight`` e
+    makes the count at k the sum of (f^shape)^e over the shapes of n with
+    first row k.  Every callable looks its helpers up when called, so
+    patching or rebinding a module-level name reaches it.
     """
 
     alias: Optional[str]
@@ -56,15 +58,21 @@ class _Class(NamedTuple):
     member: Optional[Callable[[int, Optional[tuple[int, int]], object], bool]] = None
     perms: bool = True
     swept: bool = False
+    keep: Optional[Callable[[int, int, int], bool]] = None
     per_k: Optional[Callable[[int, int], int]] = None
     total: Optional[Callable[[int], int]] = None
     shape_weight: Optional[int] = None
 
     def members(self, n: int, lm: Optional[tuple[int, int]]) -> Iterator:
-        candidates = self.base(n)
-        if self.member is None:
-            return candidates
-        return (x for x in candidates if self.member(n, lm, x))
+        if self.member is None and self.keep is None:
+            return self.base(n)
+        return (x for x in self.base(n) if self.passes(n, lm, x))
+
+    def passes(self, n: int, lm: Optional[tuple[int, int]], x) -> bool:
+        """Whether a candidate of size n passes the row's filter."""
+        if self.keep is not None:
+            return self.keep(permutations.lis_length(x), permutations.lds_length(x), n)
+        return self.member is None or self.member(n, lm, x)
 
     def stat(self, x) -> int:
         """LIS length of a permutation, first-row length of a tableau."""
@@ -77,7 +85,7 @@ class _Class(NamedTuple):
             tableaux.check_tableau(x.rows)
         return (
             (len(x) if self.perms else x.n) == n
-            and (self.member is None or self.member(n, lm, x))
+            and self.passes(n, lm, x)
             and self.stat(x) == k
         )
 
@@ -107,15 +115,13 @@ _CLASSES: dict[str, _Class] = {
     ),
     # permutations avoiding 321
     "avoid321_permutations": _Class(
-        "b", 12, lambda n: _permutations_of(n, None),
-        lambda n, lm, p: permutations.lds_length(p) <= 2,
-        swept=True, per_k=lambda n, k: _two_row_count(n, k) ** 2,
+        "b", 12, lambda n: _permutations_of(n, None), swept=True,
+        keep=lambda k, d, n: d <= 2, per_k=lambda n, k: _two_row_count(n, k) ** 2,
     ),
     # permutations whose insertion shape is a hook
     "hook_pair_permutations": _Class(
-        "m", 12, lambda n: _permutations_of(n, None),
-        lambda n, lm, p: permutations.lis_length(p) + permutations.lds_length(p) == n + 1,
-        swept=True, per_k=lambda n, k: _hook_count(n, k) ** 2,
+        "m", 12, lambda n: _permutations_of(n, None), swept=True,
+        keep=lambda k, d, n: k + d == n + 1, per_k=lambda n, k: _hook_count(n, k) ** 2,
     ),
     # involutions avoiding 2143 and 3412
     "skew_merged_involutions": _Class(
@@ -339,38 +345,35 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     the negated entries, sentinel 0.  Permutations sharing their first
     n - 3 entries (runs of 6 in ``itertools.permutations`` order) reuse
     that prefix's tails.  The prefix is compared for every permutation,
-    so the counts do not depend on the order.  The insertion shape only
-    grows, so a run whose prefix is already outside the class (three
-    rows for b, not a hook for m) is skipped whole.
+    so the counts do not depend on the order.  A run whose prefix already
+    fails the row's ``keep`` is skipped whole: the insertion shape only
+    grows, so three rows (b) or a shape that is not a hook (m) stays so.
     """
     counts = [0] * (n + 1)
-    want_b = label == "avoid321_permutations"
-    want_m = label == "hook_pair_permutations"
+    keep = _CLASSES[label].keep
     m = max(n - 3, 0)
     top = n + 1
     for prefix, run in itertools.groupby(_permutations_of(n, first), itemgetter(slice(m))):
         up_head = [top] * n
         for x in prefix:
             up_head[bisect_left(up_head, x)] = x
-        if want_b or want_m:
+        if keep is not None:
             down_head = [0] * n
             for x in prefix:
                 down_head[bisect_left(down_head, -x)] = -x
-            k, d = bisect_left(up_head, top), bisect_left(down_head, 0)
             # An empty prefix (n <= 3) rules nothing out.
-            if want_b and d > 2 or want_m and m and k + d != m + 1:
+            if m and not keep(bisect_left(up_head, top), bisect_left(down_head, 0), m):
                 continue
         for p in run:
             up = up_head[:]
             for x in p[m:]:
                 up[bisect_left(up, x)] = x
             k = bisect_left(up, top)
-            if want_b or want_m:
+            if keep is not None:
                 down = down_head[:]
                 for x in p[m:]:
                     down[bisect_left(down, -x)] = -x
-                d = bisect_left(down, 0)
-                if want_b and d > 2 or want_m and k + d != n + 1:
+                if not keep(k, bisect_left(down, 0), n):
                     continue
             counts[k] += 1
     return Counter({k: c for k, c in enumerate(counts) if c})
@@ -454,6 +457,15 @@ def count_standard_tableaux(shape: tuple[int, ...]) -> int:
     return count
 
 
+def _shape_class(label: str) -> tuple[str, int]:
+    """Canonical label and shape weight of a class that shapes can count."""
+    canonical = resolve_label(label)
+    weight = _CLASSES[canonical].shape_weight
+    if weight is None:
+        raise ValueError(f"--method shapes is not available for {label!r}")
+    return canonical, weight
+
+
 def counts_by_shape(label: str, n: int) -> ClassSequence:
     """A triangle row computed without enumeration, for the classes that are
     a weighted sum over all shapes of n.
@@ -465,10 +477,7 @@ def counts_by_shape(label: str, n: int) -> ClassSequence:
     as a cross-checked accelerator; exhaustive enumeration stays the
     reference.
     """
-    canonical = resolve_label(label)
-    weight = _CLASSES[canonical].shape_weight
-    if weight is None:
-        raise ValueError(f"--method shapes is not available for {label!r}")
+    canonical, weight = _shape_class(label)
     _check_n(n)
     counts: Counter = Counter()
     for shape in tableaux.partitions(n):
@@ -599,18 +608,9 @@ class InjectionReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "domain_size": self.domain_size,
-            "injective": self.injective,
-            "codomain_ok": self.codomain_ok,
-            "type_preserved": self.type_preserved,
-            "preimage_identity": self.preimage_identity,
-            "ok": self.ok,
-            "witnesses": list(self.witnesses),
-        }
+        data = asdict(self)
+        witnesses = data.pop("witnesses")
+        return {**data, "ok": self.ok, "witnesses": list(witnesses)}
 
 
 class _Verdicts(dict):
@@ -641,8 +641,9 @@ def _check_injection(
     quote: Callable = str,
     inverse: bool = False,
 ) -> tuple[int, bool, bool, bool, list[str]]:
-    """Apply ``f(k, a, b)`` to every pair of every ``(k, lefts, rights)``
-    block and check each image pair (u, v), in this order:
+    """Apply ``f(a, b)`` to every pair of every ``(k, lefts, rights)``
+    block and check each image pair (u, v), in this order; the map reads
+    all it needs off the pair, and k names the block's codomain:
 
     0. ``f`` itself: a ValueError it raises (a lift whose image tableaux
        are not standard or differ in shape) counts as a codomain failure,
@@ -676,7 +677,7 @@ def _check_injection(
         for a in lefts:
             for b in rights:
                 try:
-                    u, v = f(k, a, b)
+                    u, v = f(a, b)
                 except ValueError as exc:
                     codomain_ok = False
                     witnesses.append(f"{prefix}codomain: ({a}, {b}) -> error: {exc}")
@@ -751,7 +752,9 @@ def verify_injection(
 
     Every kind sends pairs with statistics (j - 1, j + 1) to pairs with
     statistic j and is checked one block per middle statistic j; hook and
-    flip name a block by k = j - 1, protected and lift by j.  A class
+    flip name a block by k = j - 1, protected and lift by j.  Each map is
+    called on the pair alone and reads n, the statistics and the
+    protected area off it; j serves only the codomain check.  A class
     injection's codomain is read from the class table: a member of size n
     with statistic j (``_Class.contains``).  Flip's is the paths of n steps
     with j east steps.  The maps build their images unchecked, so every
@@ -772,18 +775,14 @@ def verify_injection(
             f, partial(row.contains, n, lm), **options,
         )
 
-    def hook_map(j, t1, t2):
-        return injections.hook_inject(n, j - 1, j + 1, t1, t2)
-
     type_ok = preimage_ok = None
     if kind == "hook":
         _check_budget("hooks", n, lambda: _gap_pairs(_hook_count, n, k, 1))
         _check_k(kind, n, k, 1, n - 2)
         domain, injective, codomain_ok, type_ok, witnesses = into_class(
-            "hooks", mid, hook_map,
-            check=("type", lambda t1, t2, u1, u2: (
-                injections.pair_type(u1, u2) == injections.pair_type(t1, t2)
-            )),
+            "hooks", mid, injections.hook_inject,
+            check=("type", lambda t1, t2, u1, u2:
+                   injections.pair_type(u1, u2) == injections.pair_type(t1, t2)),
         )
     elif kind == "flip":
         _check_budget(
@@ -800,7 +799,7 @@ def verify_injection(
                 (p for e in range((n + 1) // 2, n + 1) for p in paths.lattice_paths(n, e)),
                 lambda p: p.east, mid,
             ),
-            lambda j, p, q: paths.flip_inject(p, q),
+            paths.flip_inject,
             in_paths,
             ("preimage", lambda p, q, r, s: paths.flip_preimage(r, s) == (p, q)),
             inverse=True,
@@ -810,7 +809,7 @@ def verify_injection(
             raise ValueError("protected verification requires lm")
         _check_k(kind, n, k, 2, n - 1)
         domain, injective, codomain_ok, _, witnesses = into_class(
-            "protected", k, lambda j, t1, t2: injections.protected_inject(n, j, *lm, t1, t2)
+            "protected", k, injections.protected_inject
         )
     elif kind == "lift":
         _check_k(kind, n, k, 2, n - 1)
@@ -818,16 +817,15 @@ def verify_injection(
         # from first-row lengths (j - 1, j + 1) to (j, j); lift itself
         # validates the image tableaux before inverting row insertion.
         classes = (
-            ("hook", "hook-class ", "hook_pair_permutations", hook_map),
-            ("two_row", "two-row-class ", "avoid321_permutations",
-             lambda j, t1, t2: injections.two_row_inject(t1, t2)),
+            ("hook", "hook-class ", "hook_pair_permutations", injections.hook_inject),
+            ("two_row", "two-row-class ", "avoid321_permutations", injections.two_row_inject),
         )
         domain, injective, codomain_ok, witnesses = 0, True, True, []
         for name, prefix, label, inj in classes:
             if name not in lift_classes:
                 continue
             d, i, c, _, w = into_class(
-                label, k, lambda j, p1, p2: injections.lift(partial(inj, j), p1, p2),
+                label, k, partial(injections.lift, inj),
                 prefix=prefix, quote=lambda p: p,
             )
             domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c

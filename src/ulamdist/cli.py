@@ -94,9 +94,11 @@ def _cmd_sequence(args) -> int:
     if args.method == "shapes":
         if args.jobs not in (None, 1):
             raise ValueError(f"--method shapes runs serially: --jobs must be 1, got {args.jobs}")
-        seq = census.counts_by_shape(args.label, args.n)
         if lm is not None:
-            raise ValueError(f"class {seq.label!r} takes no lm parameter")
+            # An unknown or unsupported class is named before the stray lm.
+            label, _ = census._shape_class(args.label)
+            raise ValueError(f"class {label!r} takes no lm parameter")
+        seq = census.counts_by_shape(args.label, args.n)
     else:
         seq = census.sequence(args.label, args.n, lm=lm, jobs=args.jobs)
     if args.format == "csv":
@@ -138,19 +140,15 @@ def _cmd_rsk(args) -> int:
 
 
 def _cmd_inject_hook(args) -> int:
-    t1 = parse_tableau(args.t1)
-    t2 = parse_tableau(args.t2)
-    if t1.n != t2.n:
-        raise ValueError(f"t1 and t2 differ in size: {t1.n} vs {t2.n}")
-    u1, u2 = injections.hook_inject(
-        t1.n, len(t1.rows[0]), len(t2.rows[0]), t1, t2
-    )
+    u1, u2 = injections.hook_inject(parse_tableau(args.t1), parse_tableau(args.t2))
     print(f"{format_tableau(u1)};{format_tableau(u2)}")
     return 0
 
 
 def _cmd_path(args) -> int:
     if args.path_what == "flip":
+        if args.tableau is not None:
+            raise ValueError("--tableau does not go with the flip subcommand")
         r, s = paths.flip_inject(paths.parse_path(args.p), paths.parse_path(args.q))
         print(f"{r.steps} {s.steps}")
         return 0

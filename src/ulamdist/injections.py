@@ -19,6 +19,10 @@ protected area.
 into an injection on permutation pairs via row insertion, provided the
 tableau class is shape-rigid, i.e. the shape of a member is determined by
 its size and first-row length; hooks and two-row tableaux both qualify.
+
+Every map takes only the pair it maps, ``f(t1, t2)``.  The size, both
+first-row lengths and the protected area are read off the tableaux, so a
+map checks only that its pair lies in its domain, and never its images.
 """
 
 from __future__ import annotations
@@ -151,8 +155,7 @@ def _inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
         # the original pair type.
         return (row2[:-1], row1 + (n,))
     if not right1 and not right2:
-        u1, u2 = _inject_rows(n - 1, row1, row2)
-        return (u1, u2)
+        return _inject_rows(n - 1, row1, row2)
     if right1 and not right2:
         u1, u2 = _inject_rows(n - 1, row1[:-1], row2)
         return (u1 + (n,), u2)
@@ -160,27 +163,28 @@ def _inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
     return (u1 + (n,), u2 + (n,))
 
 
-def hook_inject(
-    n: int, k: int, l: int, t1: Tableau, t2: Tableau
-) -> tuple[Tableau, Tableau]:
-    """Map a pair of hooks with first-row lengths (k, l) injectively to a
-    pair with first-row lengths (k + 1, l - 1).
+def _size(t1: Tableau, t2: Tableau) -> int:
+    """The common size of a pair."""
+    if t1.n != t2.n:
+        raise ValueError(f"t1 and t2 differ in size: {t1.n} vs {t2.n}")
+    return t1.n
 
-    Requires 1 <= k <= l - 2 <= n - 2.  For l = k + 2 the construction
-    recurses on n and preserves the pair type; for larger gaps it falls
-    back to rank arithmetic and only injectivity is guaranteed.
+
+def hook_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
+    """Map a pair of hooks of size n with first-row lengths (k, l),
+    l >= k + 2, injectively to a pair with first-row lengths (k + 1, l - 1).
+
+    For l = k + 2 the construction recurses on n and preserves the pair
+    type; for larger gaps it falls back to rank arithmetic and only
+    injectivity is guaranteed.
     """
-    if not (1 <= k <= l - 2 <= n - 2):
-        raise ValueError(f"invalid parameters n={n}, k={k}, l={l}")
-    for t, length, name in ((t1, k, "t1"), (t2, l, "t2")):
+    n = _size(t1, t2)
+    k, l = len(t1.rows[0]), len(t2.rows[0])
+    if l < k + 2:
+        raise ValueError(f"first rows of lengths {k} and {l} are less than 2 apart")
+    for t, name in ((t1, "t1"), (t2, "t2")):
         if not is_hook(t):
             raise ValueError(f"{name} is not a hook: {t}")
-        if t.n != n:
-            raise ValueError(f"{name} has size {t.n}, expected {n}")
-        if len(t.rows[0]) != length:
-            raise ValueError(
-                f"{name} has first-row length {len(t.rows[0])}, expected {length}"
-            )
     r1, r2 = _inject_rows(n, t1.rows[0], t2.rows[0])
     return hook_from_first_row(n, r1), hook_from_first_row(n, r2)
 
@@ -197,29 +201,27 @@ def _surplus_hook_rows(eastern: Row, southern: Row) -> tuple[Row, tuple[int, ...
     return (1,) + eastern, entries
 
 
-def protected_inject(
-    n: int, k: int, l: int, m: int, t1: Tableau, t2: Tableau
-) -> tuple[Tableau, Tableau]:
-    """Map a pair of (l, m)-protected tableaux with first-row lengths
-    (k - 1, k + 1) to a pair with first-row length k, same (l, m).
+def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
+    """Map a pair of (l, m)-protected tableaux of size n with first-row
+    lengths (k - 1, k + 1) to a pair with first-row length k, same (l, m);
+    (l, m) is read off t1.
 
     The protected areas are never touched: the surpluses of each input are
     rebuilt into a hook (1 at the corner), renumbered order-isomorphically
-    to 1..(n - m + 1), passed through :func:`hook_inject`, renumbered back
-    using that input's own surplus entries, and reattached.
+    to 1..(n - m + 1), passed through the hook map, renumbered back using
+    that input's own surplus entries, and reattached.
     """
-    for t, length, name in ((t1, k - 1, "t1"), (t2, k + 1, "t2")):
-        if t.n != n:
-            raise ValueError(f"{name} has size {t.n}, expected {n}")
-        if len(t.rows[0]) != length:
-            raise ValueError(
-                f"{name} has first-row length {len(t.rows[0])}, expected {length}"
-            )
+    n = _size(t1, t2)
+    k1, k2 = len(t1.rows[0]), len(t2.rows[0])
+    if k2 != k1 + 2:
+        raise ValueError(f"first rows of lengths {k1} and {k2} are not 2 apart")
+    decs = (protected_decompose(t1), protected_decompose(t2))
+    l, m = decs[0].l, decs[0].m
+    for t, name in ((t1, "t1"), (t2, "t2")):
         if not is_lm_protected(t, l, m):
             raise ValueError(f"{name} is not ({l}, {m})-protected: {t}")
 
     size = n - m + 1
-    decs = (protected_decompose(t1), protected_decompose(t2))
     rows = []
     entry_lists = []
     for dec in decs:
@@ -235,8 +237,7 @@ def protected_inject(
         new_eastern = tuple(entries[v - 1] for v in jrow[1:])
         new_southern = tuple(sorted(set(entries[1:]) - set(new_eastern)))
         out.append(attach_surplus(dec.protected_rows, new_eastern, new_southern))
-    u1, u2 = out
-    return u1, u2
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_criterion_01_log_concavity_of_lis_counts_up_to_10():
 def test_criterion_02_base_tables_reproduced_exactly():
     bad = []
     for n, k, l, t1, t2, u1, u2 in BASE_CASES:
-        out = hook_inject(n, k, l, parse_tableau(t1), parse_tableau(t2))
+        out = hook_inject(parse_tableau(t1), parse_tableau(t2))
         if out != (parse_tableau(u1), parse_tableau(u2)):
             bad.append((n, k, l, t1, t2))
     report(
@@ -72,7 +72,7 @@ def test_criterion_02_base_tables_reproduced_exactly():
 def test_criterion_03_size_5_worked_examples():
     bad = []
     for n, k, l, t1, t2, u1, u2 in WORKED_N5:
-        out = hook_inject(n, k, l, parse_tableau(t1), parse_tableau(t2))
+        out = hook_inject(parse_tableau(t1), parse_tableau(t2))
         if out != (parse_tableau(u1), parse_tableau(u2)):
             bad.append((t1, t2))
     report("criterion 3 (size-5 worked examples, bit-exact)", not bad)
@@ -81,7 +81,7 @@ def test_criterion_03_size_5_worked_examples():
 def test_criterion_04_protected_worked_example_size_15():
     t1 = parse_tableau("1,3,6,9/2,4,7,15/5,8/10,13/11/12/14")
     t2 = parse_tableau("1,2,3,4,11,14/5,6,8,12/7,10,13,15/9")
-    u1, u2 = protected_inject(15, 5, 4, 12, t1, t2)
+    u1, u2 = protected_inject(t1, t2)
     ok = u1 == parse_tableau("1,3,6,9,12/2,4,7,15/5,8/10,13/11/14") and u2 == parse_tableau(
         "1,2,3,4,14/5,6,8,12/7,10,13,15/9/11"
     )

@@ -354,7 +354,7 @@ class TestVerifyInjection:
         # One image pair for every k: the maps for different k are separate
         # injections, so only the 5 + 15 + 5 repeats inside each k collide.
         u = tableaux.hook_from_first_row(5, (1, 2))
-        monkeypatch.setattr(injections, "hook_inject", lambda n, k, l, t1, t2: (u, u))
+        monkeypatch.setattr(injections, "hook_inject", lambda t1, t2: (u, u))
         report = verify_injection("hook", 5)
         assert report.domain_size == 6 + 16 + 6
         assert sum(w.startswith("collision: ") for w in report.witnesses) == 25
@@ -373,7 +373,7 @@ class TestVerifyInjection:
 
     def test_hook_map_leaving_the_hooks_fails_the_type_check(self, monkeypatch):
         square = tableaux.Tableau(((1, 2), (3, 4), (5,)))
-        monkeypatch.setattr(injections, "hook_inject", lambda n, k, l, t1, t2: (square, square))
+        monkeypatch.setattr(injections, "hook_inject", lambda t1, t2: (square, square))
         report = verify_injection("hook", 5, k=1)
         assert not report.ok
         assert report.codomain_ok is False and report.type_preserved is False
@@ -383,21 +383,21 @@ class TestVerifyInjection:
         )
 
 
-def _constant_hook_inject(n, k, l, t1, t2):
-    u = tableaux.hook_from_first_row(n, range(1, k + 2))
+def _constant_hook_inject(t1, t2):
+    u = tableaux.hook_from_first_row(t1.n, range(1, len(t1.rows[0]) + 2))
     return u, u
 
 
-def _hook_inject_swapped_at_2(n, k, l, t1, t2):
-    u1, u2 = _HOOK_INJECT(n, k, l, t1, t2)
-    return (u2, u1) if k == 2 else (u1, u2)
+def _hook_inject_swapped_at_2(t1, t2):
+    u1, u2 = _HOOK_INJECT(t1, t2)
+    return (u2, u1) if len(t1.rows[0]) == 2 else (u1, u2)
 
 
-def _protected_inject_grown(n, k, l, m, t1, t2):
+def _protected_inject_grown(t1, t2):
     # True images with n + 1 appended as a last row: still (l, m)-protected
     # tableaux with first row k, but of size n + 1.
     return tuple(
-        tableaux._tableau(u.rows + ((n + 1,),)) for u in _PROTECTED_INJECT(n, k, l, m, t1, t2)
+        tableaux._tableau(u.rows + ((t1.n + 1,),)) for u in _PROTECTED_INJECT(t1, t2)
     )
 
 
@@ -417,7 +417,7 @@ _TWO_ROW_INJECT = injections.two_row_inject
 # witnesses and the first three of them, verbatim and in order.
 BROKEN_MAPS = {
     "hook-identity": (
-        "hook_inject", lambda n, k, l, t1, t2: (t1, t2), ("hook", 5), {}, 28,
+        "hook_inject", lambda t1, t2: (t1, t2), ("hook", 5), {}, 28,
         {"kind": "hook", "n": 5, "k": None, "domain_size": 28, "injective": True,
          "codomain_ok": False, "type_preserved": True, "preimage_identity": None,
          "ok": False, "witnesses": [
@@ -444,7 +444,7 @@ BROKEN_MAPS = {
              "type: (1,2/3/4/5/6, 1,2,5,6/3/4) -> (1,2,6/3/4/5, 1,2,5/3/4/6)"]},
     ),
     "protected-identity": (
-        "protected_inject", lambda n, k, l, m, t1, t2: (t1, t2), ("protected", 7),
+        "protected_inject", lambda t1, t2: (t1, t2), ("protected", 7),
         {"lm": (2, 4)}, 384,
         {"kind": "protected", "n": 7, "k": None, "domain_size": 384, "injective": True,
          "codomain_ok": False, "type_preserved": None, "preimage_identity": None,
@@ -627,9 +627,7 @@ def test_hook_map_with_one_image_for_every_k_is_checked_per_k(monkeypatch):
     # (1,2,3/4/5/6) has first row k + 1 only for k = 2, so only the 50 pairs
     # of that block lie in the codomain: 10 + 50 + 10 codomain witnesses
     # come from k = 1, 3, 4, beside the 116 collisions and 92 type failures.
-    monkeypatch.setattr(
-        injections, "hook_inject", lambda n, k, l, t1, t2: (_FIXED_HOOK, _FIXED_HOOK)
-    )
+    monkeypatch.setattr(injections, "hook_inject", lambda t1, t2: (_FIXED_HOOK, _FIXED_HOOK))
     data = verify_injection("hook", 6).to_json()
     assert len(data["witnesses"]) == 278
     assert Counter(w.split(":")[0] for w in data["witnesses"]) == {
@@ -729,9 +727,9 @@ def _swap_last_two_of_first_row(t):
     return tableaux._tableau((row[:-2] + (row[-1], row[-2]),) + t.rows[1:])
 
 
-def _hook_inject_unsorted(n, k, l, t1, t2):
+def _hook_inject_unsorted(t1, t2):
     # A hook-shaped image whose first row (1, x, y) runs (1, y, x).
-    u1, u2 = _HOOK_INJECT(n, k, l, t1, t2)
+    u1, u2 = _HOOK_INJECT(t1, t2)
     return _swap_last_two_of_first_row(u1), u2
 
 
@@ -754,7 +752,7 @@ MALFORMED_IMAGES = {
     "hook": (injections, "hook_inject", _hook_inject_unsorted, ("hook", 5), {"k": 2}),
     "protected": (
         injections, "protected_inject",
-        lambda n, k, l, m, t1, t2: (_UNSTANDARD_PROTECTED, _UNSTANDARD_PROTECTED),
+        lambda t1, t2: (_UNSTANDARD_PROTECTED, _UNSTANDARD_PROTECTED),
         ("protected", 7), {"k": 3, "lm": (2, 4)},
     ),
     "flip": (paths, "flip_inject", _flip_inject_above_diagonal, ("flip", 7), {}),
@@ -773,7 +771,7 @@ def test_malformed_images_fail_the_codomain_check(case, monkeypatch):
 def test_malformed_images_pass_every_predicate_but_the_validator():
     t1 = tableaux.hook_from_first_row(5, (1, 2))
     t2 = tableaux.hook_from_first_row(5, (1, 2, 3, 4))
-    u = _hook_inject_unsorted(5, 2, 4, t1, t2)[0]
+    u = _hook_inject_unsorted(t1, t2)[0]
     assert u.rows == ((1, 3, 2), (4,), (5,))
     assert tableaux.is_hook(u) and u.n == 5 and len(u.rows[0]) == 3
     assert tableaux.is_lm_protected(_UNSTANDARD_PROTECTED, 2, 4)
@@ -866,7 +864,7 @@ def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):
         for k in range(1, 6)
         for t1 in tableaux.hook_tableaux(7, k)
         for t2 in tableaux.hook_tableaux(7, k + 2)
-        for u in _HOOK_INJECT(7, k, k + 2, t1, t2)
+        for u in _HOOK_INJECT(t1, t2)
     }
     assert calls == Counter(u.rows for u in images)
     assert sum(calls.values()) == len(images) == 62 < 2 * report.domain_size == 990
@@ -964,7 +962,9 @@ def _reports_by_kernel_and_reference(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(
             census, "_check_injection",
-            lambda *a, inverse=False, **kw: _reference_check_injection(*a, **kw),
+            lambda blocks, f, *a, inverse=False, **kw: _reference_check_injection(
+                blocks, lambda k, x, y: f(x, y), *a, **kw
+            ),
         )
         old = verify_injection(*args, **kwargs).to_json()
     return new, old
@@ -1007,7 +1007,7 @@ ORACLE_BROKEN = {
     **{f"flip-{name}-5": (paths, "flip_inject", BROKEN_FLIPS[name, 7][0], ("flip", 5), {})
        for name, _ in BROKEN_FLIPS},
     "hook-fixed": (
-        injections, "hook_inject", lambda n, k, l, t1, t2: (_FIXED_HOOK, _FIXED_HOOK),
+        injections, "hook_inject", lambda t1, t2: (_FIXED_HOOK, _FIXED_HOOK),
         ("hook", 6), {},
     ),
     **{f"malformed-{case}": entry for case, entry in MALFORMED_IMAGES.items()},

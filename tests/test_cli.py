@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from ulamdist import injections, paths
+from ulamdist import injections, paths, tableaux
 from ulamdist.census import enumeration_cap
 from ulamdist.cli import main
 
@@ -78,6 +78,23 @@ class TestSequence:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: class ") and "takes no lm parameter" in err
+
+    @pytest.mark.parametrize("label, err", [
+        ("u", "error: class 'all_permutations' takes no lm parameter\n"),
+        ("i", "error: class 'involutions' takes no lm parameter\n"),
+        ("h", "error: --method shapes is not available for 'h'\n"),
+        ("zzz", "error: unknown class label 'zzz'\n"),
+    ], ids=["u", "i", "h", "zzz"])
+    def test_shapes_rejects_lm_before_any_partition(self, capsys, monkeypatch, label, err):
+        def refuse(n):
+            raise AssertionError("partitions visited")
+
+        monkeypatch.setattr(tableaux, "partitions", refuse)
+        code, out, got = run(
+            capsys, "sequence", "--class", label, "--n", "48", "--method", "shapes",
+            "--lm", "2,4",
+        )
+        assert (code, out, got) == (2, "", err)
 
     def test_shapes_names_an_unsupported_class_before_its_lm(self, capsys):
         code, out, err = run(
@@ -345,6 +362,14 @@ class TestPath:
     def test_missing_arguments(self, capsys):
         code, _, err = run(capsys, "path")
         assert code == 2
+
+    @pytest.mark.parametrize("tableau", ["garbage", "1,3,4,5,6,7/2"])
+    def test_tableau_with_flip_is_usage_error(self, capsys, tableau):
+        code, out, err = run(
+            capsys, "path", "--tableau", tableau, "flip", "--p", "ENEN", "--q", "EEEE"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --tableau does not go with the flip subcommand\n"
 
 
 class TestUsageErrors:

@@ -47,7 +47,7 @@ WORKED_N5 = [
 class TestHookInjectBaseTables:
     @pytest.mark.parametrize("n,k,l,t1,t2,u1,u2", BASE_CASES)
     def test_base_mappings(self, n, k, l, t1, t2, u1, u2):
-        out = hook_inject(n, k, l, parse_tableau(t1), parse_tableau(t2))
+        out = hook_inject(parse_tableau(t1), parse_tableau(t2))
         assert out == (parse_tableau(u1), parse_tableau(u2))
 
     def test_base_table_is_total_on_sizes_3_and_4(self):
@@ -72,7 +72,7 @@ class TestHookInjectBaseTables:
 class TestHookInjectRecursion:
     @pytest.mark.parametrize("n,k,l,t1,t2,u1,u2", WORKED_N5)
     def test_worked_examples_size_5(self, n, k, l, t1, t2, u1, u2):
-        out = hook_inject(n, k, l, parse_tableau(t1), parse_tableau(t2))
+        out = hook_inject(parse_tableau(t1), parse_tableau(t2))
         assert out == (parse_tableau(u1), parse_tableau(u2))
 
     def test_exhaustive_small(self):
@@ -81,7 +81,7 @@ class TestHookInjectRecursion:
                 images = {}
                 for t1 in hook_tableaux(n, k):
                     for t2 in hook_tableaux(n, k + 2):
-                        u1, u2 = hook_inject(n, k, k + 2, t1, t2)
+                        u1, u2 = hook_inject(t1, t2)
                         assert u1.n == u2.n == n
                         assert len(u1.rows[0]) == len(u2.rows[0]) == k + 1
                         assert pair_type(u1, u2) == pair_type(t1, t2)
@@ -96,7 +96,7 @@ class TestHookInjectRecursion:
                     domain = 0
                     for t1 in hook_tableaux(n, k):
                         for t2 in hook_tableaux(n, l):
-                            u1, u2 = hook_inject(n, k, l, t1, t2)
+                            u1, u2 = hook_inject(t1, t2)
                             assert len(u1.rows[0]) == k + 1
                             assert len(u2.rows[0]) == l - 1
                             images.add((u1, u2))
@@ -105,16 +105,24 @@ class TestHookInjectRecursion:
 
     def test_domain_errors(self):
         col5 = parse_tableau("1/2/3/4/5")
-        row5 = parse_tableau("1,2,3,4,5")
         square = Tableau(((1, 3), (2, 4)))
         with pytest.raises(ValueError):
-            hook_inject(5, 1, 2, col5, row5)  # gap too small
+            hook_inject(col5, parse_tableau("1,2/3/4/5"))  # gap too small
         with pytest.raises(ValueError):
-            hook_inject(4, 1, 4, square, parse_tableau("1,2,3,4"))  # not a hook
+            hook_inject(square, parse_tableau("1,2,3,4"))  # not a hook
         with pytest.raises(ValueError):
-            hook_inject(5, 2, 5, col5, row5)  # wrong first-row length
-        with pytest.raises(ValueError):
-            hook_inject(4, 1, 3, parse_tableau("1/2/3"), parse_tableau("1,2,3"))
+            hook_inject(parse_tableau("1/2/3"), parse_tableau("1,2,3,4"))
+
+    @pytest.mark.parametrize("t1, t2, message", [
+        ("1,3/2,4", "1,2,3,4", "t1 is not a hook: 1,3/2,4"),
+        ("1/2/3/4", "1,2,3,4/5", "t1 and t2 differ in size: 4 vs 5"),
+        ("1,2/3/4/5", "1,2,3/4/5", "first rows of lengths 2 and 3 are less than 2 apart"),
+        ("1,2,3/4/5", "1/2/3/4/5", "first rows of lengths 3 and 1 are less than 2 apart"),
+    ], ids=["not-a-hook", "sizes", "gap-1", "gap-minus-2"])
+    def test_domain_error_messages(self, t1, t2, message):
+        with pytest.raises(ValueError) as exc:
+            hook_inject(parse_tableau(t1), parse_tableau(t2))
+        assert str(exc.value) == message
 
 
 class TestRankInjection:
@@ -155,7 +163,7 @@ class TestProtectedInject:
     def test_worked_example_size_15(self):
         t1 = parse_tableau("1,3,6,9/2,4,7,15/5,8/10,13/11/12/14")
         t2 = parse_tableau("1,2,3,4,11,14/5,6,8,12/7,10,13,15/9")
-        u1, u2 = protected_inject(15, 5, 4, 12, t1, t2)
+        u1, u2 = protected_inject(t1, t2)
         assert u1 == parse_tableau("1,3,6,9,12/2,4,7,15/5,8/10,13/11/14")
         assert u2 == parse_tableau("1,2,3,4,14/5,6,8,12/7,10,13,15/9/11")
 
@@ -164,9 +172,7 @@ class TestProtectedInject:
             for k in range(2, n - 1):
                 for t1 in hook_tableaux(n, k - 1):
                     for t2 in hook_tableaux(n, k + 1):
-                        assert protected_inject(n, k, 1, 1, t1, t2) == hook_inject(
-                            n, k - 1, k + 1, t1, t2
-                        )
+                        assert protected_inject(t1, t2) == hook_inject(t1, t2)
 
     def test_protected_areas_untouched(self):
         for n in range(5, 9):
@@ -176,7 +182,7 @@ class TestProtectedInject:
             for k in sorted(by_k):
                 for t1 in by_k.get(k - 1, []):
                     for t2 in by_k.get(k + 1, []):
-                        u1, u2 = protected_inject(n, k, 2, 4, t1, t2)
+                        u1, u2 = protected_inject(t1, t2)
                         for before, after in ((t1, u1), (t2, u2)):
                             assert (
                                 protected_decompose(before).protected_rows
@@ -193,7 +199,7 @@ class TestProtectedInject:
                 domain = 0
                 for t1 in by_k.get(k - 1, []):
                     for t2 in by_k.get(k + 1, []):
-                        u1, u2 = protected_inject(n, k, 2, 4, t1, t2)
+                        u1, u2 = protected_inject(t1, t2)
                         assert is_lm_protected(u1, 2, 4) and is_lm_protected(u2, 2, 4)
                         assert len(u1.rows[0]) == len(u2.rows[0]) == k
                         images.add((u1, u2))
@@ -204,9 +210,23 @@ class TestProtectedInject:
         t1 = parse_tableau("1,3/2")  # (1, 1)-protected
         t2 = parse_tableau("1,2,3,4")
         with pytest.raises(ValueError):
-            protected_inject(4, 2, 2, 4, parse_tableau("1/2/3/4"), t2)
+            protected_inject(parse_tableau("1,2/3,4"), parse_tableau("1,2,3,4"))
         with pytest.raises(ValueError):
-            protected_inject(3, 2, 1, 1, t1, t2)  # size mismatch
+            protected_inject(t1, t2)  # size mismatch
+
+    @pytest.mark.parametrize("t1, t2, message", [
+        ("1/2/3", "1,2,3,4", "t1 and t2 differ in size: 3 vs 4"),
+        ("1,2/3/4", "1,2,3/4", "first rows of lengths 2 and 3 are not 2 apart"),
+        ("1/2/3/4/5", "1,2,3,4/5", "first rows of lengths 1 and 4 are not 2 apart"),
+        # Mixed protected areas: t1's is (1, 1), t2's is (2, 4).
+        ("1/2/3/4/5", "1,2,5/3,4", "t2 is not (1, 1)-protected: 1,2,5/3,4"),
+        # t1's area is (2, 4), but its eastern 3 lies below the 4 of its area.
+        ("1,2,3/4,5", "1,2,3,4,5", "t1 is not (2, 4)-protected: 1,2,3/4,5"),
+    ], ids=["sizes", "gap-1", "gap-3", "mixed-areas", "t1-unprotected"])
+    def test_domain_error_messages(self, t1, t2, message):
+        with pytest.raises(ValueError) as exc:
+            protected_inject(parse_tableau(t1), parse_tableau(t2))
+        assert str(exc.value) == message
 
     def test_11_protected_are_exactly_the_hooks(self):
         from ulamdist.tableaux import all_standard_tableaux, is_hook
@@ -238,12 +258,11 @@ class TestLift:
         members = {}
         for p in enumerate_class("hook_pair_permutations", n):
             members.setdefault(lis_length(p), []).append(p)
-        inj = lambda t1, t2: hook_inject(n, k - 1, k + 1, t1, t2)
         images = set()
         domain = 0
         for p1 in members[k - 1]:
             for p2 in members[k + 1]:
-                w1, w2 = lift(inj, p1, p2)
+                w1, w2 = lift(hook_inject, p1, p2)
                 assert lis_length(w1) == lis_length(w2) == k
                 images.add((w1, w2))
                 domain += 1

@@ -79,7 +79,7 @@ def test_protected_images_are_standard():
         for k in sorted(by_k):
             for t1 in by_k.get(k - 1, []):
                 for t2 in by_k.get(k + 1, []):
-                    for u in protected_inject(n, k, 2, 4, t1, t2):
+                    for u in protected_inject(t1, t2):
                         check_tableau(u.rows)
 
 
