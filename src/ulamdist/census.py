@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -613,23 +613,13 @@ class InjectionReport:
         return {**data, "ok": self.ok, "witnesses": list(witnesses)}
 
 
-class _Verdicts(dict):
-    """``in_codomain(k, x)`` for the images x of one block, each distinct
-    image checked once; a ValueError (the validator rejecting a malformed
-    image) is a False verdict.  The codomain depends on k, so a memo never
-    outlives its block."""
-
-    def __init__(self, in_codomain: Callable, k: int):
-        super().__init__()
-        self.in_codomain, self.k = in_codomain, k
-
-    def __missing__(self, x) -> bool:
-        try:
-            held = bool(self.in_codomain(self.k, x))
-        except ValueError:
-            held = False
-        self[x] = held
-        return held
+def _verdict(in_codomain: Callable, k: int, x) -> bool:
+    """``in_codomain(k, x)``, where a ValueError (the validator rejecting a
+    malformed image) is a False verdict."""
+    try:
+        return bool(in_codomain(k, x))
+    except ValueError:
+        return False
 
 
 def _check_injection(
@@ -637,8 +627,6 @@ def _check_injection(
     f: Callable,
     in_codomain: Callable,
     check: Optional[tuple[str, Callable]] = None,
-    prefix: str = "",
-    quote: Callable = str,
     inverse: bool = False,
 ) -> tuple[int, bool, bool, bool, list[str]]:
     """Apply ``f(a, b)`` to every pair of every ``(k, lefts, rights)``
@@ -666,11 +654,12 @@ def _check_injection(
     Returns the number of pairs, whether the map was injective, whether
     the images lay in the codomain, whether the named check held, and the
     witnesses, each formatted only when a check fails.  The earlier pair of
-    a collision is shown as ``(quote(a), quote(b))``.
+    a collision is shown as a tuple of its members' text forms: a
+    permutation (a tuple) as itself, a tableau or a path by ``str``.
     """
     name, holds = check if check is not None else ("", None)
 
-    def run(k: int, lefts: list, rights: list, verdicts: _Verdicts, seen: Optional[dict]):
+    def run(lefts: list, rights: list, verdict: Callable, seen: Optional[dict]):
         """One pass over a block; ``seen`` None skips the collision check."""
         injective = codomain_ok = check_ok = True
         witnesses: list[str] = []
@@ -680,11 +669,11 @@ def _check_injection(
                     u, v = f(a, b)
                 except ValueError as exc:
                     codomain_ok = False
-                    witnesses.append(f"{prefix}codomain: ({a}, {b}) -> error: {exc}")
+                    witnesses.append(f"codomain: ({a}, {b}) -> error: {exc}")
                     continue
-                if not (verdicts[u] and verdicts[v]):
+                if not (verdict(u) and verdict(v)):
                     codomain_ok = False
-                    witnesses.append(f"{prefix}codomain: ({a}, {b}) -> ({u}, {v})")
+                    witnesses.append(f"codomain: ({a}, {b}) -> ({u}, {v})")
                 if holds is not None:
                     try:
                         held = holds(a, b, u, v)
@@ -701,8 +690,8 @@ def _check_injection(
                     seen[key] = (a, b)
                 else:
                     injective = False
-                    shown = (quote(earlier[0]), quote(earlier[1]))
-                    witnesses.append(f"{prefix}collision: {shown} and ({a}, {b})")
+                    shown = tuple(x if isinstance(x, tuple) else str(x) for x in earlier)
+                    witnesses.append(f"collision: {shown} and ({a}, {b})")
         return injective, codomain_ok, check_ok, witnesses
 
     domain = 0
@@ -710,10 +699,11 @@ def _check_injection(
     witnesses: list[str] = []
     for k, lefts, rights in blocks:
         domain += len(lefts) * len(rights)
-        verdicts = _Verdicts(in_codomain, k)
-        block = run(k, lefts, rights, verdicts, None) if inverse else None
+        # The codomain depends on k, so a memo never outlives its block.
+        verdict = cache(partial(_verdict, in_codomain, k))
+        block = run(lefts, rights, verdict, None) if inverse else None
         if block is None or not block[2]:
-            block = run(k, lefts, rights, verdicts, {})
+            block = run(lefts, rights, verdict, {})
         injective &= block[0]
         codomain_ok &= block[1]
         check_ok &= block[2]
@@ -763,16 +753,18 @@ def verify_injection(
     for the protected kind only, and sizes beyond the budget of the classes
     enumerated are refused; a refused hook or flip states its number of
     pairs."""
+    if kind not in ("hook", "flip", "protected", "lift"):
+        raise ValueError(f"unknown injection kind {kind!r}")
     if kind != "protected" and lm is not None:
         raise ValueError(f"injection kind {kind!r} takes no lm parameter")
     mid = None if k is None else k + 1
 
-    def into_class(label: str, j: Optional[int], f: Callable, **options):
+    def into_class(label: str, j: Optional[int], f: Callable, check=None):
         """Check f on the blocks of a class by statistic, into that class."""
         row = _CLASSES[label]
         return _check_injection(
             _stat_blocks(enumerate_class(label, n, lm=lm), row.stat, j),
-            f, partial(row.contains, n, lm), **options,
+            f, partial(row.contains, n, lm), check,
         )
 
     type_ok = preimage_ok = None
@@ -811,11 +803,12 @@ def verify_injection(
         domain, injective, codomain_ok, _, witnesses = into_class(
             "protected", k, injections.protected_inject
         )
-    elif kind == "lift":
+    else:  # lift
         _check_k(kind, n, k, 2, n - 1)
         # The shape-rigid classes at size n, each with its tableau injection
         # from first-row lengths (j - 1, j + 1) to (j, j); lift itself
-        # validates the image tableaux before inverting row insertion.
+        # validates the image tableaux before inverting row insertion.  Each
+        # witness is labelled with the class it came from.
         classes = (
             ("hook", "hook-class ", "hook_pair_permutations", injections.hook_inject),
             ("two_row", "two-row-class ", "avoid321_permutations", injections.two_row_inject),
@@ -824,14 +817,9 @@ def verify_injection(
         for name, prefix, label, inj in classes:
             if name not in lift_classes:
                 continue
-            d, i, c, _, w = into_class(
-                label, k, partial(injections.lift, inj),
-                prefix=prefix, quote=lambda p: p,
-            )
+            d, i, c, _, w = into_class(label, k, partial(injections.lift, inj))
             domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c
-            witnesses.extend(w)
-    else:
-        raise ValueError(f"unknown injection kind {kind!r}")
+            witnesses.extend(prefix + x for x in w)
     return InjectionReport(
         kind, n, k, domain, injective, codomain_ok, type_ok, preimage_ok, tuple(witnesses)
     )

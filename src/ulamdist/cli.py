@@ -52,12 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="shapes: shape-wise counting shortcut (all_permutations and "
         "involutions only)",
     )
+    p_seq.set_defaults(run=_cmd_sequence)
 
     p_verify = sub.add_parser("verify", help="run an exhaustive verification")
     v_sub = p_verify.add_subparsers(dest="verify_what", required=True)
     v_conj = v_sub.add_parser("conjecture")
     v_conj.add_argument("--n-max", type=int, required=True)
     v_conj.add_argument("--jobs", type=int, default=None)
+    v_conj.set_defaults(run=_cmd_verify_conjecture)
     v_inj = v_sub.add_parser("injection")
     v_inj.add_argument(
         "--kind", choices=("hook", "protected", "flip", "lift"), required=True
@@ -65,23 +67,28 @@ def build_parser() -> argparse.ArgumentParser:
     v_inj.add_argument("--n", type=int, required=True)
     v_inj.add_argument("--k", type=int, default=None)
     v_inj.add_argument("--lm", default=None)
+    v_inj.set_defaults(run=_cmd_verify_injection)
     v_form = v_sub.add_parser("formulas")
     v_form.add_argument("--n-max", type=int, required=True)
+    v_form.set_defaults(run=_cmd_verify_formulas)
 
     p_rsk = sub.add_parser("rsk", help="row insertion and its inverse")
     group = p_rsk.add_mutually_exclusive_group(required=True)
     group.add_argument("--perm", help='one-line notation, e.g. "3,1,4,2"')
     group.add_argument("--inverse", help='tableau pair "P;Q"')
+    p_rsk.set_defaults(run=_cmd_rsk)
 
     p_inject = sub.add_parser("inject", help="apply an injection to explicit inputs")
     i_sub = p_inject.add_subparsers(dest="inject_what", required=True)
     i_hook = i_sub.add_parser("hook")
     i_hook.add_argument("--t1", required=True)
     i_hook.add_argument("--t2", required=True)
+    i_hook.set_defaults(run=_cmd_inject_hook)
 
     p_path = sub.add_parser("path", help="two-row tableau/path bijection and flips")
     path_sub = p_path.add_subparsers(dest="path_what")
     p_path.add_argument("--tableau", help="two-row tableau to convert to a path")
+    p_path.set_defaults(run=_cmd_path)
     p_flip = path_sub.add_parser("flip")
     p_flip.add_argument("--p", required=True)
     p_flip.add_argument("--q", required=True)
@@ -162,24 +169,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sequence":
-            return _cmd_sequence(args)
-        if args.command == "verify":
-            if args.verify_what == "conjecture":
-                return _cmd_verify_conjecture(args)
-            if args.verify_what == "injection":
-                return _cmd_verify_injection(args)
-            return _cmd_verify_formulas(args)
-        if args.command == "rsk":
-            return _cmd_rsk(args)
-        if args.command == "inject":
-            return _cmd_inject_hook(args)
-        if args.command == "path":
-            return _cmd_path(args)
+        return args.run(args)
     except (ValueError, census.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

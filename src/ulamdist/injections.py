@@ -36,12 +36,12 @@ from .permutations import Perm
 from .tableaux import (
     HookType,
     Tableau,
+    _surplus_bounded,
     attach_surplus,
     check_tableau,
     hook_from_first_row,
     hook_type,
     is_hook,
-    is_lm_protected,
     protected_decompose,
     rsk,
     rsk_inverse,
@@ -217,8 +217,8 @@ def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
         raise ValueError(f"first rows of lengths {k1} and {k2} are not 2 apart")
     decs = (protected_decompose(t1), protected_decompose(t2))
     l, m = decs[0].l, decs[0].m
-    for t, name in ((t1, "t1"), (t2, "t2")):
-        if not is_lm_protected(t, l, m):
+    for t, name, dec in zip((t1, t2), ("t1", "t2"), decs):
+        if (dec.l, dec.m) != (l, m) or not _surplus_bounded(dec):
             raise ValueError(f"{name} is not ({l}, {m})-protected: {t}")
 
     size = n - m + 1

@@ -372,7 +372,11 @@ def is_lm_protected(t: Tableau, l: int, m: int) -> bool:
     and every surplus entry exceeds every entry in the protected area's
     first row and first column (vacuously true for empty surpluses)."""
     dec = protected_decompose(t)
-    if dec.l != l or dec.m != m:
-        return False
+    return dec.l == l and dec.m == m and _surplus_bounded(dec)
+
+
+def _surplus_bounded(dec: ProtectedDecomposition) -> bool:
+    """Whether every surplus entry exceeds every entry in the protected
+    area's first row and first column."""
     bound = max(dec.c, dec.d)
     return all(v > bound for v in dec.eastern + dec.southern)

@@ -345,6 +345,10 @@ class TestVerifyInjection:
         with pytest.raises(ValueError):
             verify_injection("magic", 5)
 
+    def test_unknown_kind_is_named_before_a_stray_lm(self):
+        with pytest.raises(ValueError, match="^unknown injection kind 'magic'$"):
+            verify_injection("magic", 5, lm=(1, 1))
+
     def test_report_json_round_trips(self):
         data = verify_injection("hook", 5).to_json()
         assert data["ok"] is True
@@ -870,6 +874,25 @@ def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):
     assert sum(calls.values()) == len(images) == 62 < 2 * report.domain_size == 990
 
 
+def test_protected_decomposes_each_tableau_once_per_use(monkeypatch):
+    # 764 standard tableaux filtered, two inputs for each of the 2,800
+    # pairs, and 140 distinct images checked: the map reuses its own
+    # decompositions for the protectedness test.
+    calls = 0
+    decompose = tableaux.protected_decompose
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return decompose(t)
+
+    monkeypatch.setattr(tableaux, "protected_decompose", counted)
+    monkeypatch.setattr(injections, "protected_decompose", counted)
+    report = verify_injection("protected", 8, lm=(2, 4))
+    assert report.ok and report.domain_size == 2800
+    assert calls == 764 + 2 * 2800 + 140 == 6504
+
+
 def test_flip_keeps_no_memory_per_pair():
     # The preimage check proves each block injective, so no seen-dict keeps
     # the 22,924 pairs at n = 11; one that did peaked at about 6 MB.
@@ -960,10 +983,13 @@ def _reference_check_injection(
 def _reports_by_kernel_and_reference(monkeypatch, *args, **kwargs):
     new = verify_injection(*args, **kwargs).to_json()
     with monkeypatch.context() as m:
+        # The kernel derives a collision's text form from the member: a
+        # permutation (a tuple) as itself, anything else by str.
         m.setattr(
             census, "_check_injection",
             lambda blocks, f, *a, inverse=False, **kw: _reference_check_injection(
-                blocks, lambda k, x, y: f(x, y), *a, **kw
+                blocks, lambda k, x, y: f(x, y), *a, **kw,
+                quote=lambda x: x if isinstance(x, tuple) else str(x),
             ),
         )
         old = verify_injection(*args, **kwargs).to_json()
