@@ -13,6 +13,8 @@ raises or lowers the caps (a bare integer applies to every label, or a
 comma-separated list like ``all_permutations=13,involutions=12``).
 Permutation sweeps partition deterministically by first entry, so they can
 fan out over processes; serial and parallel runs give identical counts.
+The process pool is imported only when a sweep fans out, so no other
+command pays for loading ``multiprocessing`` at start-up.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import itertools
 import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import injections, paths, permutations, tableaux
@@ -404,6 +405,8 @@ def sequence(
     if not row.swept:
         counts = Counter(map(row.stat, row.members(n, lm)))
     elif jobs and jobs > 1 and n > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         counts = Counter()
         with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
             for part in pool.map(partial(_sweep_counts, canonical, n), range(1, n + 1)):
@@ -435,24 +438,25 @@ def sequence_json(seq: ClassSequence) -> dict:
 
 
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:
-    """Number of standard tableaux of a shape, via the hook-length product
-    (1 for the empty shape)."""
+    """Number of standard tableaux of a shape (1 for the empty shape), by
+    the hook-length formula in Frobenius's form:
+    f = n! * prod_{i<j} (h_i - h_j) / prod_i h_i!, where h_i = shape_i + l - i
+    are the hook lengths of the first column of an l-row shape."""
     if not tableaux.is_partition(shape):
         raise ValueError(f"not a partition: {shape}")
-    # conj[j], the number of rows longer than j: count the rows ending at
-    # each column, then sum those counts from the right.
-    ends = [0] * (shape[0] if shape else 0)
-    for r in shape:
-        ends[r - 1] += 1
-    conj = list(itertools.accumulate(reversed(ends)))[::-1]
-    # Conjugation swaps arms and legs, so both orientations give the same
-    # hook lengths; take the one with fewer rows.
-    rows, cols = (shape, conj) if len(shape) <= len(conj) else (conj, shape)
-    hooks = 1
-    for i, r in enumerate(rows):
-        # Row i: arm r - 1 - j plus leg cols[j] - i - 1, plus 1.
-        hooks *= prod(map(add, range(r - 1 - i, -1 - i, -1), cols))
-    count, rem = divmod(factorial(sum(shape)), hooks)
+    # Conjugation keeps f, so take the orientation with fewer rows.  The
+    # conjugate's row j, the number of rows longer than j: count the rows
+    # ending at each column, then sum those counts from the right.
+    if shape and len(shape) > shape[0]:
+        ends = [0] * shape[0]
+        for r in shape:
+            ends[r - 1] += 1
+        shape = list(itertools.accumulate(reversed(ends)))[::-1]
+    hooks = list(map(add, shape, range(len(shape) - 1, -1, -1)))
+    count, rem = divmod(
+        factorial(sum(shape)) * prod(itertools.starmap(sub, itertools.combinations(hooks, 2))),
+        prod(map(factorial, hooks)),
+    )
     assert rem == 0
     return count
 
@@ -759,13 +763,20 @@ def verify_injection(
         raise ValueError(f"injection kind {kind!r} takes no lm parameter")
     mid = None if k is None else k + 1
 
-    def into_class(label: str, j: Optional[int], f: Callable, check=None):
-        """Check f on the blocks of a class by statistic, into that class."""
+    def into_class(label: str, j: Optional[int], f: Callable, check=None, members=None):
+        """Check f on the blocks of a class by statistic, into that class;
+        the blocks come from ``members``, by default the whole class."""
         row = _CLASSES[label]
+        if members is None:
+            members = enumerate_class(label, n, lm=lm)
         return _check_injection(
-            _stat_blocks(enumerate_class(label, n, lm=lm), row.stat, j),
-            f, partial(row.contains, n, lm), check,
+            _stat_blocks(members, row.stat, j), f, partial(row.contains, n, lm), check
         )
+
+    def sides(build: Callable[[int, int], Iterator], lo: int) -> Iterator:
+        """The members ``build(n, e)`` with statistic e, for every lo <= e <= n,
+        or with k given, only those of its block's two sides, k and k + 2."""
+        return (x for e in (range(lo, n + 1) if k is None else (k, k + 2)) for x in build(n, e))
 
     type_ok = preimage_ok = None
     if kind == "hook":
@@ -775,6 +786,7 @@ def verify_injection(
             "hooks", mid, injections.hook_inject,
             check=("type", lambda t1, t2, u1, u2:
                    injections.pair_type(u1, u2) == injections.pair_type(t1, t2)),
+            members=None if k is None else sides(tableaux.hook_tableaux, 1),
         )
     elif kind == "flip":
         _check_budget(
@@ -787,10 +799,7 @@ def verify_injection(
             return r.n == n and r.east == j
 
         domain, injective, codomain_ok, preimage_ok, witnesses = _check_injection(
-            _stat_blocks(
-                (p for e in range((n + 1) // 2, n + 1) for p in paths.lattice_paths(n, e)),
-                lambda p: p.east, mid,
-            ),
+            _stat_blocks(sides(paths.lattice_paths, (n + 1) // 2), lambda p: p.east, mid),
             paths.flip_inject,
             in_paths,
             ("preimage", lambda p, q, r, s: paths.flip_preimage(r, s) == (p, q)),

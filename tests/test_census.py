@@ -241,7 +241,7 @@ class TestShapeCounts:
                     total += branching(tuple(x for x in smaller if x))
             return total
 
-        for n in range(1, 13):
+        for n in range(1, 21):
             for shape in tableaux.partitions(n):
                 assert count_standard_tableaux(shape) == branching(shape)
 
@@ -849,6 +849,64 @@ class TestVerifyInjectionRanges:
     def test_empty_domain_without_k_is_a_valid_report(self):
         report = verify_injection("hook", 2)
         assert report.domain_size == 0 and report.ok
+
+
+@pytest.mark.parametrize(
+    "kind, module, name, k, built",
+    [("hook", tableaux, "hook_tableaux", 1, 1 + 105),
+     ("flip", paths, "lattice_paths", 14, 104 + 1)],
+    ids=["hook", "flip"],
+)
+def test_explicit_k_builds_only_its_two_sides(kind, module, name, k, built, monkeypatch):
+    # The whole class at n = 16 is 32,768 hooks or 12,870 paths.
+    items = 0
+    build = getattr(module, name)
+
+    def counted(*args):
+        nonlocal items
+        for x in build(*args):
+            items += 1
+            yield x
+
+    monkeypatch.setattr(module, name, counted)
+    report = verify_injection(kind, 16, k=k)
+    assert report.ok and report.domain_size == built - 1
+    assert items == built
+
+
+@pytest.mark.parametrize(
+    "kind, count, lo",
+    [("hook", census._hook_count, lambda n: 1),
+     ("flip", census._two_row_count, lambda n: (n + 1) // 2)],
+    ids=["hook", "flip"],
+)
+def test_explicit_k_domain_is_every_pair_of_its_block(kind, count, lo):
+    for n in range(1, 11):
+        for k in range(lo(n), n - 1):
+            report = verify_injection(kind, n, k=k)
+            assert report.ok
+            assert report.domain_size == census._gap_pairs(count, n, k, lo(n)), (n, k)
+
+
+# Every broken hook or flip map above, as (module, name, map, kind, n).
+PER_K_BROKEN = {
+    **{case: (injections, attr, broken, *args)
+       for case, (attr, broken, args, _, _, _) in BROKEN_MAPS.items() if args[0] == "hook"},
+    **{f"flip-{name}-{n}": (paths, "flip_inject", broken, "flip", n)
+       for (name, n), (broken, _, _) in BROKEN_FLIPS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_K_BROKEN))
+def test_explicit_k_witnesses_are_that_block_of_the_full_run(case, monkeypatch):
+    module, attr, broken, kind, n = PER_K_BROKEN[case]
+    monkeypatch.setattr(module, attr, broken)
+    full = verify_injection(kind, n)
+    lo = 1 if kind == "hook" else (n + 1) // 2
+    per_k = [verify_injection(kind, n, k=k) for k in range(lo, n - 1)]
+    assert sum(r.domain_size for r in per_k) == full.domain_size
+    assert tuple(w for r in per_k for w in r.witnesses) == full.witnesses
+    assert not full.ok and full.witnesses
 
 
 def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):

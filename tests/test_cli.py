@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
 
 import pytest
 
+import ulamdist
 from ulamdist import injections, paths, tableaux
 from ulamdist.census import enumeration_cap
 from ulamdist.cli import main
@@ -14,6 +18,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(ulamdist.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    loaded = run_fresh(
+        "import sys, ulamdist.cli\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])"
+    )
+    assert loaded == "[]\n"
 
 
 class TestSequence:
@@ -156,6 +178,15 @@ class TestSequence:
         _, serial, _ = run(capsys, *argv)
         code, parallel, _ = run(capsys, *argv, "--jobs", "2")
         assert code == 0 and parallel == serial
+
+    def test_jobs_2_in_a_fresh_interpreter_prints_the_serial_bytes(self, capsys):
+        # A new process, where nothing has loaded the pool beforehand.
+        argv = ["sequence", "--class", "u", "--n", "6"]
+        _, serial, _ = run(capsys, *argv)
+        parallel = run_fresh(
+            f"import sys\nfrom ulamdist import cli\nsys.exit(cli.main({argv + ['--jobs', '2']!r}))"
+        )
+        assert parallel == serial
 
 
 class TestVerify:
