@@ -786,7 +786,7 @@ def verify_injection(
             "hooks", mid, injections.hook_inject,
             check=("type", lambda t1, t2, u1, u2:
                    injections.pair_type(u1, u2) == injections.pair_type(t1, t2)),
-            members=None if k is None else sides(tableaux.hook_tableaux, 1),
+            members=sides(tableaux.hook_tableaux, 1),
         )
     elif kind == "flip":
         _check_budget(
