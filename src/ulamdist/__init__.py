@@ -8,15 +8,14 @@ from .census import (
     LogConcavityReport,
     check_log_concavity,
     closed_form,
+    counts_by_shape,
     enumerate_class,
-    lis_counts_by_shape,
     sequence,
     verify_conjecture,
     verify_formulas,
     verify_injection,
 )
 from .injections import (
-    RankInjection,
     hook_inject,
     lift,
     protected_inject,

@@ -489,16 +489,6 @@ def counts_by_shape(label: str, n: int) -> ClassSequence:
     return _make_sequence(canonical, n, counts)
 
 
-def lis_counts_by_shape(n: int) -> ClassSequence:
-    """Shape-wise counterpart of ``sequence("all_permutations", n)``."""
-    return counts_by_shape("all_permutations", n)
-
-
-def involution_counts_by_shape(n: int) -> ClassSequence:
-    """Shape-wise counterpart of ``sequence("involutions", n)``."""
-    return counts_by_shape("involutions", n)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from . import census, injections, paths, tableaux
@@ -31,7 +32,9 @@ def _parse_tableau_pair(text: str) -> tuple[tableaux.Tableau, tableaux.Tableau]:
     return parse_tableau(parts[0]), parse_tableau(parts[1])
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by every call: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="ulamdist",
         description="censuses, log-concavity checks and injections for "

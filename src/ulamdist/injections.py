@@ -8,7 +8,7 @@ explicit tables for n = 3 and n = 4, and preserves the pair type: the type
 of a hook records whether its largest entry ends the first column (DOWN)
 or the first row (RIGHT).  For l > k + 2 injectivity is all that matters
 downstream, so those maps are realized by deterministic rank arithmetic
-(:class:`RankInjection`) over the lexicographic order of hooks.
+(:func:`_rank_inject_rows`) over the lexicographic order of hooks.
 
 ``protected_inject`` transports the hook map to tableaux with a fixed
 protected area: the surpluses are pulled off, renumbered into a pair of
@@ -27,7 +27,6 @@ map checks only that its pair lies in its domain, and never its images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
@@ -63,32 +62,6 @@ HOOK_BASE_TABLE: dict[tuple[int, Row, Row], tuple[Row, Row]] = {
     (4, (1, 4), (1, 2, 3, 4)): ((1, 2, 4), (1, 3, 4)),
     (4, (1, 3), (1, 2, 3, 4)): ((1, 2, 3), (1, 3, 4)),
 }
-
-
-@dataclass(frozen=True)
-class RankInjection:
-    """Injection [A] x [B] -> [C] x [D] by mixed-radix rank arithmetic.
-
-    Sends (i, j) to divmod(i * B + j, D); injective whenever A * B <= C * D
-    because i * B + j enumerates [A * B] without repeats.
-    """
-
-    a_size: int
-    b_size: int
-    c_size: int
-    d_size: int
-
-    def __post_init__(self):
-        if self.a_size * self.b_size > self.c_size * self.d_size:
-            raise ValueError(
-                f"domain {self.a_size}x{self.b_size} exceeds "
-                f"codomain {self.c_size}x{self.d_size}"
-            )
-
-    def apply(self, i: int, j: int) -> tuple[int, int]:
-        if not (0 <= i < self.a_size and 0 <= j < self.b_size):
-            raise ValueError(f"({i}, {j}) outside [{self.a_size}] x [{self.b_size}]")
-        return divmod(i * self.b_size + j, self.d_size)
 
 
 def _comb_rank(sub: Sequence[int], m: int) -> int:
@@ -130,13 +103,14 @@ def _hook_unrank(n: int, k: int, rank: int) -> Row:
 
 
 def _rank_inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
-    # Hook counts by first-row length are binomials, so the domain never
-    # exceeds the codomain here (k <= l - 2 suffices).
+    """Rank arithmetic for a gap l - k >= 2: divmod of the pair's mixed-radix
+    rank i * C(n-1, l-1) + j by C(n-1, l-2).  Injective because binomials are
+    log-concave: C(n-1, k-1) C(n-1, l-1) <= C(n-1, k) C(n-1, l-2)."""
     k, l = len(row1), len(row2)
-    ranker = RankInjection(
-        comb(n - 1, k - 1), comb(n - 1, l - 1), comb(n - 1, k), comb(n - 1, l - 2)
+    i, j = divmod(
+        _hook_rank(n, row1) * comb(n - 1, l - 1) + _hook_rank(n, row2),
+        comb(n - 1, l - 2),
     )
-    i, j = ranker.apply(_hook_rank(n, row1), _hook_rank(n, row2))
     return _hook_unrank(n, k + 1, i), _hook_unrank(n, l - 1, j)
 
 

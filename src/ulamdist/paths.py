@@ -9,11 +9,11 @@ entries as east-step positions.
 
 Validation happens where paths enter: the public constructor
 ``LatticePath(steps)`` and :func:`parse_path` run :func:`check_path`, and
-the flip check of :mod:`ulamdist.census` runs it on every image path.  The
-builders here (:func:`lattice_paths`, :func:`tableau_to_path`,
-:func:`flip_inject`) produce sub-diagonal paths by construction and build
-through the unchecked ``_path``; :func:`flip_preimage` runs the check on
-its un-flipped candidates, which need not be paths.
+the flip check of :mod:`ulamdist.census` runs it on every distinct image
+path of a block.  The builders here (:func:`lattice_paths`,
+:func:`tableau_to_path`, :func:`flip_inject`) produce sub-diagonal paths by
+construction and build through the unchecked ``_path``; :func:`flip_preimage`
+runs the check on its un-flipped candidates, which need not be paths.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ A tableau is stored row-major as a tuple of tuples of entries.  Shapes are
 plain tuples of row lengths.
 
 Validation happens where tableaux enter: the public constructor
-``Tableau(rows)`` and :func:`parse_tableau` run :func:`check_tableau`, and
-the injection checks of :mod:`ulamdist.census` run it on every image a map
-under test returns.  The builders here (:func:`rsk`,
-:func:`hook_from_first_row`, :func:`standard_tableaux`,
+``Tableau(rows)`` and :func:`parse_tableau` run :func:`check_tableau`, the
+injection checks of :mod:`ulamdist.census` run it on every distinct image a
+map under test returns within a block, and :func:`ulamdist.injections.lift`
+runs it on the four image tableaux of every pair.  The builders here
+(:func:`rsk`, :func:`hook_from_first_row`, :func:`standard_tableaux`,
 :func:`attach_surplus`) produce standard tableaux by construction, so they
 trust their input and build through the unchecked ``_tableau``, the way the
 arithmetic helpers of :mod:`ulamdist.permutations` trust theirs.
@@ -307,16 +308,6 @@ class ProtectedDecomposition:
     @property
     def m(self) -> int:
         return sum(len(row) for row in self.protected_rows)
-
-    @property
-    def a(self) -> int | None:
-        """Smallest eastern-surplus entry, if any."""
-        return self.eastern[0] if self.eastern else None
-
-    @property
-    def b(self) -> int | None:
-        """Smallest southern-surplus entry, if any."""
-        return self.southern[0] if self.southern else None
 
     @property
     def c(self) -> int:

@@ -8,7 +8,7 @@ from ulamdist import census
 from ulamdist.census import (
     check_log_concavity,
     closed_form,
-    lis_counts_by_shape,
+    counts_by_shape,
     sequence,
     verify_injection,
 )
@@ -37,7 +37,7 @@ def test_criterion_01_log_concavity_of_lis_counts_up_to_10():
         serial[n] = seq.counts
         if not check_log_concavity(seq).holds:
             failures.append(n)
-        if lis_counts_by_shape(n).counts != seq.counts:
+        if counts_by_shape("u", n).counts != seq.counts:
             failures.append(f"shape-count mismatch at n={n}")
     serial_elapsed = time.time() - start
 

@@ -15,11 +15,10 @@ from ulamdist.census import (
     check_log_concavity,
     closed_form,
     count_standard_tableaux,
+    counts_by_shape,
     enumerate_class,
     enumeration_cap,
-    involution_counts_by_shape,
     involutions,
-    lis_counts_by_shape,
     sequence,
     sequence_csv,
     sequence_json,
@@ -217,8 +216,8 @@ class TestSweepOracle:
 class TestShapeCounts:
     def test_matches_enumeration(self):
         for n in range(1, 8):
-            assert lis_counts_by_shape(n).counts == sequence("u", n).counts
-            assert involution_counts_by_shape(n).counts == sequence("i", n).counts
+            assert counts_by_shape("u", n).counts == sequence("u", n).counts
+            assert counts_by_shape("i", n).counts == sequence("i", n).counts
 
     def test_count_standard_tableaux(self):
         assert count_standard_tableaux((2, 2)) == 2
@@ -251,7 +250,7 @@ class TestShapeCounts:
                 count_standard_tableaux(bad)
 
     def test_reaches_beyond_the_enumeration_cap(self):
-        seq = lis_counts_by_shape(15)
+        seq = counts_by_shape("u", 15)
         import math
 
         assert seq.total == math.factorial(15)

@@ -9,7 +9,7 @@ import pytest
 import ulamdist
 from ulamdist import injections, paths, tableaux
 from ulamdist.census import enumeration_cap
-from ulamdist.cli import main
+from ulamdist.cli import build_parser, main
 
 from test_census import MALFORMED_IMAGES
 
@@ -36,6 +36,14 @@ def test_importing_the_cli_loads_no_process_pool():
         " if m in sys.modules])"
     )
     assert loaded == "[]\n"
+
+
+def test_the_parser_is_built_once_and_shared(capsys):
+    parser = build_parser()
+    assert build_parser() is parser
+    assert run(capsys, "sequence", "--class", "u", "--n", "0")[0] == 2
+    assert run(capsys, "sequence", "--class", "u", "--n", "3") == (0, "n,k,count\n3,1,1\n3,2,4\n3,3,1\n", "")
+    assert build_parser() is parser
 
 
 class TestSequence:

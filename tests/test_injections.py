@@ -1,15 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from ulamdist.census import enumerate_class
 from ulamdist.injections import (
     HOOK_BASE_TABLE,
-    RankInjection,
     _comb_rank,
     _comb_unrank,
+    _rank_inject_rows,
     hook_inject,
     lift,
     pair_type,
@@ -126,29 +124,19 @@ class TestHookInjectRecursion:
 
 
 class TestRankInjection:
-    def test_rejects_oversized_domain(self):
-        with pytest.raises(ValueError):
-            RankInjection(3, 3, 2, 4)
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            RankInjection(2, 2, 2, 2).apply(2, 0)
-
-    @given(
-        st.tuples(
-            st.integers(1, 12), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)
-        ).filter(lambda t: t[0] * t[1] <= t[2] * t[3])
-    )
-    def test_injective_whenever_it_fits(self, sizes):
-        a, b, c, d = sizes
-        ri = RankInjection(a, b, c, d)
-        seen = set()
-        for i in range(a):
-            for j in range(b):
-                x, y = ri.apply(i, j)
-                assert 0 <= x < c and 0 <= y < d
-                seen.add((x, y))
-        assert len(seen) == a * b
+    def test_rank_rows_inject_hook_pairs_exhaustively(self):
+        # Every gap of at least 3 is mapped by rank arithmetic alone.
+        for n in range(4, 11):
+            rows = {
+                k: [(1,) + tuple(c) for c in itertools.combinations(range(2, n + 1), k - 1)]
+                for k in range(1, n + 1)
+            }
+            for k in range(1, n + 1):
+                for l in range(k + 3, n + 1):
+                    images = {_rank_inject_rows(n, r1, r2) for r1 in rows[k] for r2 in rows[l]}
+                    assert len(images) == len(rows[k]) * len(rows[l])
+                    assert {r1 for r1, _ in images} <= set(rows[k + 1])
+                    assert {r2 for _, r2 in images} <= set(rows[l - 1])
 
     def test_comb_rank_matches_lexicographic_order(self):
         for m in range(1, 8):

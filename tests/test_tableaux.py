@@ -234,14 +234,14 @@ class TestProtectedDecomposition:
         assert (dec.l, dec.m) == (4, 12)
         assert dec.eastern == ()
         assert dec.southern == (11, 12, 14)
-        assert (dec.a, dec.b, dec.c, dec.d) == (None, 11, 9, 10)
+        assert (dec.c, dec.d) == (9, 10)
 
         right = parse_tableau("1,2,3,4,11,14/5,6,8,12/7,10,13,15/9")
         dec = protected_decompose(right)
         assert (dec.l, dec.m) == (4, 12)
         assert dec.eastern == (11, 14)
         assert dec.southern == (9,)
-        assert (dec.a, dec.b, dec.c, dec.d) == (11, 9, 4, 7)
+        assert (dec.c, dec.d) == (4, 7)
 
     def test_round_trip_all_small_tableaux(self):
         for n in range(1, 9):
