@@ -113,10 +113,11 @@ class TestHookInjectRecursion:
 
     @pytest.mark.parametrize("t1, t2, message", [
         ("1,3/2,4", "1,2,3,4", "t1 is not a hook: 1,3/2,4"),
+        ("1/2/3/4/5", "1,2,3/4,5", "t2 is not a hook: 1,2,3/4,5"),
         ("1/2/3/4", "1,2,3,4/5", "t1 and t2 differ in size: 4 vs 5"),
         ("1,2/3/4/5", "1,2,3/4/5", "first rows of lengths 2 and 3 are less than 2 apart"),
         ("1,2,3/4/5", "1/2/3/4/5", "first rows of lengths 3 and 1 are less than 2 apart"),
-    ], ids=["not-a-hook", "sizes", "gap-1", "gap-minus-2"])
+    ], ids=["not-a-hook", "t2-not-a-hook", "sizes", "gap-1", "gap-minus-2"])
     def test_domain_error_messages(self, t1, t2, message):
         with pytest.raises(ValueError) as exc:
             hook_inject(parse_tableau(t1), parse_tableau(t2))
@@ -276,8 +277,11 @@ class TestLift:
         def bad_inj(t1, t2):
             return Tableau(((1, 2, 3),)), Tableau(((1, 3), (2,)))
 
-        with pytest.raises(ValueError, match="shape rigidity"):
+        with pytest.raises(ValueError) as exc:
             lift(bad_inj, (1, 2, 3), (1, 2, 3))
+        assert str(exc.value) == (
+            "shape rigidity violated: image components have shapes (3,) and (2, 1)"
+        )
 
     def test_non_standard_image_rejected(self):
         # Equal shapes, so only the validator stands between this image
@@ -286,5 +290,26 @@ class TestLift:
             u = _tableau(((2, 1, 3),))
             return u, u
 
-        with pytest.raises(ValueError, match=r"row \(2, 1, 3\) is not strictly increasing"):
+        with pytest.raises(ValueError) as exc:
             lift(bad_inj, (1, 2, 3), (1, 2, 3))
+        assert str(exc.value) == "row (2, 1, 3) is not strictly increasing"
+
+    @pytest.mark.parametrize("p_images, q_images, message", [
+        # Every image is validated before any pair's shapes are compared.
+        ((((1, 2, 3),), ((1, 3), (2,))), (((1, 2, 3),), ((1, 3, 2),)),
+         "row (1, 3, 2) is not strictly increasing"),
+        ((((1, 2, 3),), ((1, 2, 3),)), (((1, 2), (3,)), ((1, 2, 3),)),
+         "shape rigidity violated: image components have shapes (2, 1) and (3,)"),
+        ((((1, 3), (2,)), ((1, 2, 3),)), (((1, 2), (3,)), ((1,), (2,), (3,))),
+         "shape rigidity violated: image components have shapes (2, 1) and (3,)"),
+    ], ids=["q-non-standard", "q-shapes", "p-shapes-first"])
+    def test_image_errors_come_in_order(self, p_images, q_images, message):
+        # The map returns the given images for the P pair, then for the Q pair.
+        outs = iter([p_images, q_images])
+
+        def bad_inj(t1, t2):
+            return tuple(_tableau(rows) for rows in next(outs))
+
+        with pytest.raises(ValueError) as exc:
+            lift(bad_inj, (1, 2, 3), (1, 2, 3))
+        assert str(exc.value) == message

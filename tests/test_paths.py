@@ -75,10 +75,14 @@ class TestFlipInject:
         assert (r.steps, s.steps) == ("ENEE", "EEEN")
 
     def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            flip_inject(parse_path("EN"), parse_path("EEE"))
-        with pytest.raises(ValueError):
-            flip_inject(parse_path("EEN"), parse_path("EEE"))
+        for p, q, message in [
+            ("EN", "EEE", "paths differ in length: 2 vs 3"),
+            ("EEN", "EEE", "second path must take exactly two more east steps: 2 vs 3"),
+            ("EEEE", "ENEN", "second path must take exactly two more east steps: 4 vs 2"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                flip_inject(parse_path(p), parse_path(q))
+            assert str(exc.value) == message
 
     def test_codomain_exhaustive(self):
         for n in range(3, 10):
@@ -101,6 +105,15 @@ class TestFlipInject:
 
 
 class TestFlipPreimage:
+    @pytest.mark.parametrize("r, s, message", [
+        ("EEN", "EENE", "paths differ in length: 3 vs 4"),
+        ("EENE", "EEEE", "paths differ in east steps: 3 vs 4"),
+    ], ids=["length", "east"])
+    def test_mismatch_message(self, r, s, message):
+        with pytest.raises(ValueError) as exc:
+            flip_preimage(parse_path(r), parse_path(s))
+        assert str(exc.value) == message
+
     def test_worked_example_back(self):
         r = parse_path("EENENEE")
         s = parse_path("ENEEENE")

@@ -129,8 +129,9 @@ class TestRsk:
                     assert rsk(rsk_inverse(p_tab, q_tab)) == (p_tab, q_tab)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             rsk_inverse(Tableau(((1, 2),)), Tableau(((1,), (2,))))
+        assert str(exc.value) == "shape mismatch: (2,) vs (1, 1)"
 
 
 class TestHooks:
@@ -145,10 +146,12 @@ class TestHooks:
         assert hook_type(parse_tableau("1,2,3")) is HookType.RIGHT
 
     def test_hook_type_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             hook_type(Tableau(((1, 3), (2, 4))))
-        with pytest.raises(ValueError):
+        assert str(exc.value) == "not a hook: 1,3/2,4"
+        with pytest.raises(ValueError) as exc:
             hook_type(Tableau(((1,),)))
+        assert str(exc.value) == "hook type is undefined for a single box"
 
     def test_generation_counts_are_binomial(self):
         from math import comb
