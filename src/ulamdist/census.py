@@ -788,11 +788,15 @@ def verify_injection(
             paths.check_path(r.steps)
             return r.n == n and r.east == j
 
+        def preimage(p, q, r, s):
+            back = paths.flip_preimage(r, s)
+            return back is not None and (back[0].steps, back[1].steps) == (p.steps, q.steps)
+
         domain, injective, codomain_ok, preimage_ok, witnesses = _check_injection(
             _stat_blocks(sides(paths.lattice_paths, (n + 1) // 2), lambda p: p.east, mid),
             paths.flip_inject,
             in_paths,
-            ("preimage", lambda p, q, r, s: paths.flip_preimage(r, s) == (p, q)),
+            ("preimage", preimage),
             inverse=True,
         )
     elif kind == "protected":
@@ -806,17 +810,19 @@ def verify_injection(
         _check_k(kind, n, k, 2, n - 1)
         # The shape-rigid classes at size n, each with its tableau injection
         # from first-row lengths (j - 1, j + 1) to (j, j); lift itself
-        # validates the image tableaux before inverting row insertion.  Each
-        # witness is labelled with the class it came from.
+        # validates the image tableaux before inverting row insertion, each
+        # distinct one once per run.  Each witness is labelled with the class
+        # it came from.
         classes = (
             ("hook", "hook-class ", "hook_pair_permutations", injections.hook_inject),
             ("two_row", "two-row-class ", "avoid321_permutations", injections.two_row_inject),
         )
         domain, injective, codomain_ok, witnesses = 0, True, True, []
+        checked: set = set()
         for name, prefix, label, inj in classes:
             if name not in lift_classes:
                 continue
-            d, i, c, _, w = into_class(label, k, partial(injections.lift, inj))
+            d, i, c, _, w = into_class(label, k, partial(injections.lift, inj, checked=checked))
             domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c
             witnesses.extend(prefix + x for x in w)
     return InjectionReport(

@@ -28,7 +28,7 @@ map checks only that its pair lies in its domain, and never its images.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .paths import flip_inject, path_to_tableau, tableau_to_path
 from .permutations import Perm
@@ -40,7 +40,6 @@ from .tableaux import (
     check_tableau,
     hook_from_first_row,
     hook_type,
-    is_hook,
     protected_decompose,
     rsk,
     rsk_inverse,
@@ -137,11 +136,12 @@ def _inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
     return (u1 + (n,), u2 + (n,))
 
 
-def _size(t1: Tableau, t2: Tableau) -> int:
-    """The common size of a pair."""
-    if t1.n != t2.n:
-        raise ValueError(f"t1 and t2 differ in size: {t1.n} vs {t2.n}")
-    return t1.n
+def _size(rows1: tuple[Row, ...], rows2: tuple[Row, ...]) -> int:
+    """The common size of a pair, given the rows of each member."""
+    n1, n2 = sum(map(len, rows1)), sum(map(len, rows2))
+    if n1 != n2:
+        raise ValueError(f"t1 and t2 differ in size: {n1} vs {n2}")
+    return n1
 
 
 def hook_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
@@ -152,27 +152,20 @@ def hook_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     type; for larger gaps it falls back to rank arithmetic and only
     injectivity is guaranteed.
     """
-    n = _size(t1, t2)
-    k, l = len(t1.rows[0]), len(t2.rows[0])
+    rows1, rows2 = t1.rows, t2.rows
+    n = _size(rows1, rows2)
+    k, l = len(rows1[0]), len(rows2[0])
     if l < k + 2:
         raise ValueError(f"first rows of lengths {k} and {l} are less than 2 apart")
-    for t, name in ((t1, "t1"), (t2, "t2")):
-        if not is_hook(t):
+    for rows, t, name in ((rows1, t1, "t1"), (rows2, t2, "t2")):
+        if len(rows) > 1 and len(rows[1]) != 1:  # as in is_hook
             raise ValueError(f"{name} is not a hook: {t}")
-    r1, r2 = _inject_rows(n, t1.rows[0], t2.rows[0])
+    r1, r2 = _inject_rows(n, rows1[0], rows2[0])
     return hook_from_first_row(n, r1), hook_from_first_row(n, r2)
 
 
 # ---------------------------------------------------------------------------
 # Tableaux with a fixed protected area
-
-
-def _surplus_hook_rows(eastern: Row, southern: Row) -> tuple[Row, tuple[int, ...]]:
-    """First row and sorted entry list of the hook formed by putting 1 at
-    the corner, the eastern surplus to its east and the southern surplus
-    below."""
-    entries = (1,) + tuple(sorted(eastern + southern))
-    return (1,) + eastern, entries
 
 
 def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
@@ -185,7 +178,7 @@ def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     to 1..(n - m + 1), passed through the hook map, renumbered back using
     that input's own surplus entries, and reattached.
     """
-    n = _size(t1, t2)
+    n = _size(t1.rows, t2.rows)
     k1, k2 = len(t1.rows[0]), len(t2.rows[0])
     if k2 != k1 + 2:
         raise ValueError(f"first rows of lengths {k1} and {k2} are not 2 apart")
@@ -195,16 +188,13 @@ def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
         if (dec.l, dec.m) != (l, m) or not _surplus_bounded(dec):
             raise ValueError(f"{name} is not ({l}, {m})-protected: {t}")
 
-    size = n - m + 1
+    # Every surplus entry exceeds the corner's 1, so 1 stays at the corner.
+    entry_lists = [(1,) + tuple(sorted(dec.eastern + dec.southern)) for dec in decs]
     rows = []
-    entry_lists = []
-    for dec in decs:
-        row, entries = _surplus_hook_rows(dec.eastern, dec.southern)
-        relabel = {v: i + 1 for i, v in enumerate(entries)}
-        rows.append(tuple(relabel[v] for v in row))
-        entry_lists.append(entries)
-
-    j1, j2 = _inject_rows(size, rows[0], rows[1])
+    for dec, entries in zip(decs, entry_lists):
+        relabel = {v: i for i, v in enumerate(entries, start=1)}
+        rows.append((1,) + tuple(relabel[v] for v in dec.eastern))
+    j1, j2 = _inject_rows(n - m + 1, rows[0], rows[1])
 
     out = []
     for dec, entries, jrow in zip(decs, entry_lists, (j1, j2)):
@@ -233,6 +223,7 @@ def lift(
     inj: Callable[[Tableau, Tableau], tuple[Tableau, Tableau]],
     p1: Perm,
     p2: Perm,
+    checked: Optional[set] = None,
 ) -> tuple[Perm, Perm]:
     """Turn an injection on single tableaux into one on permutation pairs.
 
@@ -240,16 +231,21 @@ def lift(
     whose tableau pairs are inj(P1, P2) and inj(Q1, Q2).  That only defines
     permutations when the four images are standard and each image pair
     shares a shape, which holds for shape-rigid classes (hooks, two-row
-    tableaux); a violation raises ValueError instead of guessing.
+    tableaux); a violation raises ValueError instead of guessing.  Images
+    whose rows are in ``checked`` are known standard; a caller lifting many
+    pairs shares one set, so each distinct image is validated once.
     """
     p_tab1, q_tab1 = rsk(p1)
     p_tab2, q_tab2 = rsk(p2)
     img_p = inj(p_tab1, p_tab2)
     img_q = inj(q_tab1, q_tab2)
+    checked = set() if checked is None else checked
     for t in (*img_p, *img_q):
-        check_tableau(t.rows)
+        if t.rows not in checked:
+            check_tableau(t.rows)
+            checked.add(t.rows)
     for left, right in (img_p, img_q):
-        if left.shape != right.shape:
+        if [*map(len, left.rows)] != [*map(len, right.rows)]:
             raise ValueError(
                 "shape rigidity violated: image components have shapes "
                 f"{left.shape} and {right.shape}"

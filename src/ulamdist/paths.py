@@ -60,12 +60,8 @@ class LatticePath:
         return self.steps.count("E")
 
     @property
-    def north(self) -> int:
-        return self.n - self.east
-
-    @property
     def endpoint(self) -> tuple[int, int]:
-        return (self.east, self.north)
+        return (self.east, self.n - self.east)
 
     def __str__(self) -> str:
         return self.steps
@@ -143,16 +139,15 @@ def flip_inject(p: LatticePath, q: LatticePath) -> tuple[LatticePath, LatticePat
     (k + 1, n - k - 1), both still weakly below the diagonal; the map is
     injective because X is recoverable from the output.
     """
-    n = p.n
-    if q.n != n:
-        raise ValueError(f"paths differ in length: {p.n} vs {q.n}")
-    if q.east != p.east + 2:
-        raise ValueError(
-            f"second path must take exactly two more east steps: {p.east} vs {q.east}"
-        )
-    t = _last_crossing(p.steps, q.steps)
+    a, b = p.steps, q.steps
+    if len(a) != len(b):
+        raise ValueError(f"paths differ in length: {len(a)} vs {len(b)}")
+    if b.count("E") != a.count("E") + 2:
+        raise ValueError("second path must take exactly two more east steps: "
+                         f"{a.count('E')} vs {b.count('E')}")
+    t = _last_crossing(a, b)
     assert t is not None, "translated paths always share a point"
-    return _path(p.steps[:t] + q.steps[t:]), _path(q.steps[:t] + p.steps[t:])
+    return _path(a[:t] + b[t:]), _path(b[:t] + a[t:])
 
 
 def flip_preimage(
@@ -171,15 +166,16 @@ def flip_preimage(
     t is also the last crossing of (p, q), the flip cuts there, and
     swapping the tails again restores (r, s).
     """
-    if r.n != s.n:
-        raise ValueError(f"paths differ in length: {r.n} vs {s.n}")
-    if r.east != s.east:
-        raise ValueError(f"paths differ in east steps: {r.east} vs {s.east}")
-    t = _last_crossing(r.steps, s.steps)
+    a, b = r.steps, s.steps
+    if len(a) != len(b):
+        raise ValueError(f"paths differ in length: {len(a)} vs {len(b)}")
+    if a.count("E") != b.count("E"):
+        raise ValueError(f"paths differ in east steps: {a.count('E')} vs {b.count('E')}")
+    t = _last_crossing(a, b)
     if t is None:
         return None
-    p_steps = r.steps[:t] + s.steps[t:]
-    q_steps = s.steps[:t] + r.steps[t:]
+    p_steps = a[:t] + b[t:]
+    q_steps = b[:t] + a[t:]
     try:
         check_path(p_steps)
         check_path(q_steps)

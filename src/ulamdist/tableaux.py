@@ -7,7 +7,8 @@ Validation happens where tableaux enter: the public constructor
 ``Tableau(rows)`` and :func:`parse_tableau` run :func:`check_tableau`, the
 injection checks of :mod:`ulamdist.census` run it on every distinct image a
 map under test returns within a block, and :func:`ulamdist.injections.lift`
-runs it on the four image tableaux of every pair.  The builders here
+runs it once on each distinct image tableau of the pairs it lifts in one
+check.  The builders here
 (:func:`rsk`, :func:`hook_from_first_row`, :func:`standard_tableaux`,
 :func:`attach_surplus`) produce standard tableaux by construction, so they
 trust their input and build through the unchecked ``_tableau``, the way the
@@ -22,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse
 from operator import ge, lt
 from typing import Iterator, Sequence
 
@@ -140,25 +141,25 @@ def rsk_inverse(p_tab: Tableau, q_tab: Tableau) -> Perm:
 
     Swapping the arguments yields the inverse permutation.
     """
-    if p_tab.shape != q_tab.shape:
-        raise ValueError(f"shape mismatch: {p_tab.shape} vs {q_tab.shape}")
-    n = p_tab.n
+    shape = p_tab.shape
+    if shape != q_tab.shape:
+        raise ValueError(f"shape mismatch: {shape} vs {q_tab.shape}")
     prows = [list(row) for row in p_tab.rows]
-    where = {}
-    for r, row in enumerate(q_tab.rows):
+    # row_of[v] is the row of label v in Q; row 0 is the default.
+    row_of = [0] * (sum(shape) + 1)
+    for r, row in enumerate(q_tab.rows[1:], start=1):
         for v in row:
-            where[v] = r
+            row_of[v] = r
     word = []
-    for label in range(n, 0, -1):
-        r = where[label]
+    for r in row_of[:0:-1]:
         x = prows[r].pop()
-        for rr in range(r - 1, -1, -1):
-            row = prows[rr]
+        while r:  # x bumps the largest smaller entry of each row above
+            r -= 1
+            row = prows[r]
             i = bisect_left(row, x) - 1
             x, row[i] = row[i], x
         word.append(x)
-    word.reverse()
-    return tuple(word)
+    return tuple(reversed(word))
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +182,20 @@ def is_hook(t: Tableau) -> bool:
 
 
 def hook_type(t: Tableau) -> HookType:
-    if not is_hook(t):
+    rows = t.rows
+    if len(rows) > 1 and len(rows[1]) != 1:  # as in is_hook
         raise ValueError(f"not a hook: {t}")
-    n = t.n
+    n = len(rows[0]) + len(rows) - 1  # one row and one column
     if n < 2:
         raise ValueError("hook type is undefined for a single box")
-    return HookType.RIGHT if t.rows[0][-1] == n else HookType.DOWN
+    return HookType.RIGHT if rows[0][-1] == n else HookType.DOWN
 
 
 def hook_from_first_row(n: int, first_row: Sequence[int]) -> Tableau:
     """Build the hook of size n whose first row is the given entry set;
     the remaining entries fill the first column in increasing order."""
     row = tuple(first_row)
-    column = sorted(set(range(1, n + 1)).difference(row))
+    column = filterfalse(set(row).__contains__, range(1, n + 1))
     return _tableau((row,) + tuple(zip(column)))
 
 

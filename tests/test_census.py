@@ -800,6 +800,38 @@ def test_lift_with_a_malformed_image_is_a_codomain_witness(monkeypatch):
     )
 
 
+def _lift_image_rows(n):
+    """The rows of every image tableau that the lift of hook_inject and
+    two_row_inject meets at size n, computed pair by pair."""
+    images = set()
+    for label, inj in (("hook_pair_permutations", injections.hook_inject),
+                       ("avoid321_permutations", injections.two_row_inject)):
+        by_k: dict = {}
+        for p in enumerate_class(label, n):
+            by_k.setdefault(lis_length(p), []).append(p)
+        for j in by_k:
+            for p1, p2 in itertools.product(by_k.get(j - 1, []), by_k.get(j + 1, [])):
+                (p_tab1, q_tab1), (p_tab2, q_tab2) = tableaux.rsk(p1), tableaux.rsk(p2)
+                for u in (*inj(p_tab1, p_tab2), *inj(q_tab1, q_tab2)):
+                    images.add(u.rows)
+    return images
+
+
+def test_lift_validates_each_distinct_image_once_per_run(monkeypatch):
+    # Validating all four images of every pair would make 4 x 353 calls.
+    calls = []
+    check = tableaux.check_tableau
+    monkeypatch.setattr(injections, "check_tableau", lambda rows: (calls.append(rows), check(rows)))
+    report = verify_injection("lift", 5)
+    assert report.ok and report.domain_size == 353
+    assert len(calls) == len(set(calls)) < report.domain_size
+    assert set(calls) == _lift_image_rows(5)
+    # The record of validated images does not outlive the run.
+    first = len(calls)
+    verify_injection("lift", 5)
+    assert calls[first:] == calls[:first]
+
+
 @pytest.mark.parametrize(
     "kind, label, lo", [("hook", "hooks", 1), ("flip", "two_row_tableaux", None)]
 )
@@ -1046,7 +1078,7 @@ def _every_k(lo, hi):
 # (kind, n, keyword arguments, ks): every k in range and the whole domain.
 ORACLE_RUNS = (
     [("hook", n, {}, _every_k(1, n - 2)) for n in range(1, 10)]
-    + [("flip", n, {}, _every_k((n + 1) // 2, n - 2)) for n in range(1, 11)]
+    + [("flip", n, {}, _every_k((n + 1) // 2, n - 2)) for n in range(1, 12)]
     + [("protected", n, {"lm": lm}, _every_k(2, n - 1))
        for n in range(1, 8) for lm in [(1, 1), (2, 4), (2, 3), (3, 5)] if lm[1] <= n]
     + [("protected", n, {"lm": (2, 4)}, [None]) for n in (8, 9)]

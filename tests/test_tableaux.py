@@ -104,7 +104,7 @@ class TestRsk:
                 assert len(rsk(p)[0].rows[0]) == lis_length(p)
 
     def test_round_trip(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             for p in perms(n):
                 assert rsk_inverse(*rsk(p)) == p
 
@@ -122,7 +122,7 @@ class TestRsk:
 
     def test_inverse_direction_round_trip(self):
         # every same-shape pair comes from exactly one permutation
-        for n in range(1, 6):
+        for n in range(1, 7):
             for shape in partitions(n):
                 tabs = list(standard_tableaux(shape))
                 for p_tab, q_tab in itertools.product(tabs, repeat=2):
@@ -163,6 +163,14 @@ class TestHooks:
     def test_from_first_row(self):
         t = hook_from_first_row(5, (1, 3, 4))
         assert t.rows == ((1, 3, 4), (2,), (5,))
+
+    def test_from_first_row_fills_the_sorted_complement(self):
+        for n in range(1, 11):
+            for size in range(1, n + 1):
+                for row in itertools.combinations(range(1, n + 1), size):
+                    column = sorted(set(range(1, n + 1)) - set(row))
+                    t = hook_from_first_row(n, row)
+                    assert t.rows == (row,) + tuple((v,) for v in column)
 
 
 def _partitions_reference(remaining, largest):
