@@ -283,16 +283,10 @@ def _two_row_tableaux(n: int) -> Iterator[Tableau]:
             yield paths.path_to_tableau(path)
 
 
-def _hook_plus_box_shapes(n: int) -> Iterator[tuple[int, ...]]:
-    # Hook with one extra box at position (2, 2): (k, 2, 1, 1, ...).
-    for k in range(2, n - 1):
-        ones = n - k - 2
-        yield (k, 2) + (1,) * ones
-
-
 def _hook_plus_box_tableaux(n: int) -> Iterator[Tableau]:
-    for shape in _hook_plus_box_shapes(n):
-        yield from tableaux.standard_tableaux(shape)
+    # Hook with one extra box at position (2, 2): shapes (k, 2, 1, 1, ...).
+    for k in range(2, n - 1):
+        yield from tableaux.standard_tableaux((k, 2) + (1,) * (n - k - 2))
 
 
 def enumerate_class(
@@ -316,14 +310,14 @@ def enumerate_class(
 class ClassSequence:
     """One triangle row: counts by statistic k for a class at fixed n.
 
-    ``counts`` covers every k in the inclusive ``k_range`` (zeros kept so
-    that internal gaps stay visible); k_range is None for an empty class.
+    ``counts`` runs in ascending k over every k from the least to the
+    greatest present, zeros kept so that internal gaps stay visible; it is
+    empty for an empty class.
     """
 
     label: str
     n: int
     counts: dict[int, int]
-    k_range: Optional[tuple[int, int]]
 
     @property
     def total(self) -> int:
@@ -331,11 +325,8 @@ class ClassSequence:
 
 
 def _make_sequence(label: str, n: int, raw: Counter) -> ClassSequence:
-    if not raw:
-        return ClassSequence(label, n, {}, None)
-    lo, hi = min(raw), max(raw)
-    counts = {k: raw.get(k, 0) for k in range(lo, hi + 1)}
-    return ClassSequence(label, n, counts, (lo, hi))
+    ks = range(min(raw), max(raw) + 1) if raw else ()
+    return ClassSequence(label, n, {k: raw.get(k, 0) for k in ks})
 
 
 def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
@@ -418,10 +409,7 @@ def sequence(
 
 def sequence_csv(seq: ClassSequence) -> str:
     """Triangle CSV with header ``n,k,count``, rows ascending in k."""
-    lines = ["n,k,count"]
-    if seq.k_range is not None:
-        lo, hi = seq.k_range
-        lines.extend(f"{seq.n},{k},{seq.counts[k]}" for k in range(lo, hi + 1))
+    lines = ["n,k,count"] + [f"{seq.n},{k},{c}" for k, c in seq.counts.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -429,7 +417,7 @@ def sequence_json(seq: ClassSequence) -> dict:
     return {
         "class": seq.label,
         "n": seq.n,
-        "counts": {str(k): v for k, v in sorted(seq.counts.items())},
+        "counts": {str(k): v for k, v in seq.counts.items()},
     }
 
 
@@ -551,17 +539,12 @@ class LogConcavityReport:
 def check_log_concavity(seq: ClassSequence) -> LogConcavityReport:
     """Check c[k-1] * c[k+1] <= c[k]^2 at every interior k of the support.
 
-    Leading and trailing zeros fall outside ``k_range`` by construction;
+    Leading and trailing zeros fall outside ``counts`` by construction;
     zeros inside the support are genuine violations and show up as
     witnesses.
     """
-    if seq.k_range is None:
-        return LogConcavityReport(seq.label, seq.n, True, ())
-    lo, hi = seq.k_range
     c = seq.counts
-    witnesses = tuple(
-        k for k in range(lo + 1, hi) if c[k - 1] * c[k + 1] > c[k] ** 2
-    )
+    witnesses = tuple(k for k in list(c)[1:-1] if c[k - 1] * c[k + 1] > c[k] ** 2)
     return LogConcavityReport(seq.label, seq.n, not witnesses, witnesses)
 
 
@@ -705,14 +688,6 @@ def _check_injection(
     return domain, injective, codomain_ok, check_ok, witnesses
 
 
-def _gap_pairs(count: Callable[[int, int], int], n: int, k_filter: Optional[int], lo: int):
-    """Pairs with statistics (k, k + 2) of a family with ``count(n, k)``
-    members at each k, for k_filter or every lo <= k <= n - 2, counted
-    without building them."""
-    ks = [k_filter] if k_filter is not None else range(lo, n - 1)
-    return sum(count(n, k) * count(n, k + 2) for k in ks)
-
-
 def _stat_blocks(members: Iterable, stat: Callable, k_filter: Optional[int]):
     """Blocks (k, members with stat k - 1, members with stat k + 1) for
     k_filter, or for every statistic value present."""
@@ -743,46 +718,46 @@ def verify_injection(
     with statistic j (``_Class.contains``).  Flip's is the paths of n steps
     with j east steps.  The maps build their images unchecked, so every
     distinct image of a block is validated once, and a malformed image is
-    a codomain failure.  An explicit k must lie in the kind's range, lm is
-    for the protected kind only, and sizes beyond the budget of the classes
-    enumerated are refused; a refused hook or flip states its number of
-    pairs."""
+    a codomain failure.
+
+    Before any enumeration, every kind checks in this order: the kind; that
+    lm is given for the protected kind only; that n >= 1; that an explicit
+    k lies in the kind's range; the budget of every class enumerated, where a
+    refused hook or flip states its number of pairs; last, for the
+    protected kind, the range of lm."""
     if kind not in ("hook", "flip", "protected", "lift"):
         raise ValueError(f"unknown injection kind {kind!r}")
     if kind != "protected" and lm is not None:
         raise ValueError(f"injection kind {kind!r} takes no lm parameter")
+    if kind == "protected" and lm is None:
+        raise ValueError("protected verification requires lm")
+    _check_n(n)
     mid = None if k is None else k + 1
 
-    def into_class(label: str, j: Optional[int], f: Callable, check=None, members=None):
-        """Check f on the blocks of a class by statistic, into that class;
-        the blocks come from ``members``, by default the whole class."""
-        row = _CLASSES[label]
-        if members is None:
-            members = enumerate_class(label, n, lm=lm)
-        return _check_injection(
-            _stat_blocks(members, row.stat, j), f, partial(row.contains, n, lm), check
-        )
-
-    def sides(build: Callable[[int, int], Iterator], lo: int) -> Iterator:
-        """The members ``build(n, e)`` with statistic e, for every lo <= e <= n,
-        or with k given, only those of its block's two sides, k and k + 2."""
+    def sides(label: str, count: Callable[[int, int], int], build: Callable, lo: int):
+        """Check k against lo <= k <= n - 2, then the budget of ``label``,
+        whose refusal counts the pairs by ``count(n, e)``; return the lazy
+        members ``build(n, e)`` for every lo <= e <= n, or, with k given,
+        for e = k and k + 2."""
+        _check_k(kind, n, k, lo, n - 2)
+        ks = range(lo, n - 1) if k is None else (k,)
+        _check_budget(label, n, lambda: sum(count(n, e) * count(n, e + 2) for e in ks))
         return (x for e in (range(lo, n + 1) if k is None else (k, k + 2)) for x in build(n, e))
 
-    type_ok = preimage_ok = None
+    def into(label: str, j: Optional[int], f: Callable, members: Iterable, check=None):
+        """The kernel's arguments for f on the blocks of ``members`` by
+        statistic, into the class ``label``."""
+        row = _CLASSES[label]
+        return _stat_blocks(members, row.stat, j), f, partial(row.contains, n, lm), check
+
     if kind == "hook":
-        _check_budget("hooks", n, lambda: _gap_pairs(_hook_count, n, k, 1))
-        _check_k(kind, n, k, 1, n - 2)
-        domain, injective, codomain_ok, type_ok, witnesses = into_class(
+        ht = tableaux.hook_type
+        runs = {"": into(
             "hooks", mid, injections.hook_inject,
-            check=("type", lambda t1, t2, u1, u2:
-                   injections.pair_type(u1, u2) == injections.pair_type(t1, t2)),
-            members=sides(tableaux.hook_tableaux, 1),
-        )
+            sides("hooks", _hook_count, tableaux.hook_tableaux, 1),
+            ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (ht(t1), ht(t2))),
+        )}
     elif kind == "flip":
-        _check_budget(
-            "two_row_tableaux", n, lambda: _gap_pairs(_two_row_count, n, k, (n + 1) // 2)
-        )
-        _check_k(kind, n, k, (n + 1) // 2, n - 2)
 
         def in_paths(j, r):
             paths.check_path(r.steps)
@@ -792,41 +767,40 @@ def verify_injection(
             back = paths.flip_preimage(r, s)
             return back is not None and (back[0].steps, back[1].steps) == (p.steps, q.steps)
 
-        domain, injective, codomain_ok, preimage_ok, witnesses = _check_injection(
-            _stat_blocks(sides(paths.lattice_paths, (n + 1) // 2), lambda p: p.east, mid),
-            paths.flip_inject,
-            in_paths,
-            ("preimage", preimage),
-            inverse=True,
-        )
+        members = sides("two_row_tableaux", _two_row_count, paths.lattice_paths, (n + 1) // 2)
+        runs = {"": (_stat_blocks(members, lambda p: p.east, mid), paths.flip_inject, in_paths,
+                     ("preimage", preimage))}
     elif kind == "protected":
-        if lm is None:
-            raise ValueError("protected verification requires lm")
         _check_k(kind, n, k, 2, n - 1)
-        domain, injective, codomain_ok, _, witnesses = into_class(
-            "protected", k, injections.protected_inject
-        )
-    else:  # lift
+        members = enumerate_class("protected", n, lm=lm)
+        runs = {"": into("protected", k, injections.protected_inject, members)}
+    else:
+        # Each shape-rigid class at size n with its tableau injection, every
+        # witness labelled with its class.  lift validates each distinct
+        # image tableau once per run, before inverting row insertion.
         _check_k(kind, n, k, 2, n - 1)
-        # The shape-rigid classes at size n, each with its tableau injection
-        # from first-row lengths (j - 1, j + 1) to (j, j); lift itself
-        # validates the image tableaux before inverting row insertion, each
-        # distinct one once per run.  Each witness is labelled with the class
-        # it came from.
-        classes = (
-            ("hook", "hook-class ", "hook_pair_permutations", injections.hook_inject),
-            ("two_row", "two-row-class ", "avoid321_permutations", injections.two_row_inject),
-        )
-        domain, injective, codomain_ok, witnesses = 0, True, True, []
         checked: set = set()
-        for name, prefix, label, inj in classes:
-            if name not in lift_classes:
-                continue
-            d, i, c, _, w = into_class(label, k, partial(injections.lift, inj, checked=checked))
-            domain, injective, codomain_ok = domain + d, injective and i, codomain_ok and c
-            witnesses.extend(prefix + x for x in w)
+        runs = {
+            prefix: into(label, k, partial(injections.lift, inj, checked=checked),
+                         enumerate_class(label, n))
+            for name, prefix, label, inj in (
+                ("hook", "hook-class ", "hook_pair_permutations", injections.hook_inject),
+                ("two_row", "two-row-class ", "avoid321_permutations", injections.two_row_inject),
+            )
+            if name in lift_classes
+        }
+    # Every check has passed: only now does enumeration start.
+    parts = [(prefix, _check_injection(*args, inverse=kind == "flip"))
+             for prefix, args in runs.items()]
+    check_ok = all(result[3] for _, result in parts)
     return InjectionReport(
-        kind, n, k, domain, injective, codomain_ok, type_ok, preimage_ok, tuple(witnesses)
+        kind, n, k,
+        sum(result[0] for _, result in parts),
+        all(result[1] for _, result in parts),
+        all(result[2] for _, result in parts),
+        check_ok if kind == "hook" else None,
+        check_ok if kind == "flip" else None,
+        tuple(prefix + w for prefix, result in parts for w in result[4]),
     )
 
 

@@ -33,13 +33,11 @@ from typing import Callable, Optional, Sequence
 from .paths import flip_inject, path_to_tableau, tableau_to_path
 from .permutations import Perm
 from .tableaux import (
-    HookType,
     Tableau,
     _surplus_bounded,
     attach_surplus,
     check_tableau,
     hook_from_first_row,
-    hook_type,
     protected_decompose,
     rsk,
     rsk_inverse,
@@ -251,8 +249,3 @@ def lift(
                 f"{left.shape} and {right.shape}"
             )
     return rsk_inverse(*img_p), rsk_inverse(*img_q)
-
-
-def pair_type(t1: Tableau, t2: Tableau) -> tuple[HookType, HookType]:
-    """Type of a pair of hooks (size >= 2 each)."""
-    return hook_type(t1), hook_type(t2)

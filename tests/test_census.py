@@ -292,21 +292,21 @@ class TestLogConcavity:
         assert report.holds and report.witnesses == ()
 
     def test_constant_sequence_holds(self):
-        seq = ClassSequence("x", 3, {1: 2, 2: 2, 3: 2}, (1, 3))
+        seq = ClassSequence("x", 3, {1: 2, 2: 2, 3: 2})
         assert check_log_concavity(seq).holds
 
     def test_violation_reported(self):
-        seq = ClassSequence("x", 3, {1: 1, 2: 1, 3: 5}, (1, 3))
+        seq = ClassSequence("x", 3, {1: 1, 2: 1, 3: 5})
         report = check_log_concavity(seq)
         assert not report.holds
         assert report.witnesses == (2,)
 
     def test_internal_zero_is_a_witness(self):
-        seq = ClassSequence("x", 3, {1: 1, 2: 0, 3: 1}, (1, 3))
+        seq = ClassSequence("x", 3, {1: 1, 2: 0, 3: 1})
         assert check_log_concavity(seq).witnesses == (2,)
 
     def test_empty_class_holds(self):
-        assert check_log_concavity(ClassSequence("x", 3, {}, None)).holds
+        assert check_log_concavity(ClassSequence("x", 3, {})).holds
 
     def test_verify_conjecture_small(self):
         reports = verify_conjecture(4)
@@ -844,6 +844,27 @@ def test_refused_injection_states_its_enumerated_domain_size(kind, label, lo, mo
             with pytest.raises(BudgetError, match=rf"cap {n - 1} \({size} pairs\); "):
                 verify_injection(kind, n, k=k)
             monkeypatch.delenv("ULAM_BUDGET")
+
+
+def test_lift_refuses_either_class_before_lifting_any_pair(monkeypatch):
+    # The hook class is checked first; a refusal of the two-row class must
+    # still come before any of the hook class's pairs is lifted.
+    calls = 0
+    lift = injections.lift
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(injections, "lift", counted)
+    for label in ("hook_pair_permutations", "avoid321_permutations"):
+        monkeypatch.setenv("ULAM_BUDGET", f"{label}=4")
+        with pytest.raises(BudgetError, match=f"^enumeration of {label!r} at n=5 exceeds"):
+            verify_injection("lift", 5)
+        assert calls == 0
+    monkeypatch.delenv("ULAM_BUDGET")
+    assert verify_injection("lift", 5).domain_size == 353 and calls == 353
 
 
 class TestVerifyInjectionRanges:

@@ -257,6 +257,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--kind", "hook"), ("--kind", "flip"), ("--kind", "lift"),
+         ("--kind", "protected", "--lm", "1,1")],
+    )
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_injection_names_n_below_one_before_k(self, capsys, argv, n):
+        code, out, err = run(capsys, "verify", "injection", *argv, "--n", n, "--k", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: n must be >= 1, got {n}\n"
+
     def test_injection_empty_domain_without_k_is_verified(self, capsys):
         code, out, _ = run(capsys, "verify", "injection", "--kind", "flip", "--n", "2")
         assert code == 0
@@ -332,6 +343,17 @@ class TestVerify:
             f"error: enumeration of {label!r} at n={n} exceeds the cap {cap}{size}; "
             "set ULAM_BUDGET to raise it\n"
         )
+
+    @pytest.mark.parametrize(
+        "kind, label, lo", [("hook", "hooks", 1), ("flip", "two_row_tableaux", 3)]
+    )
+    def test_a_bad_k_is_named_before_the_budget_refusal(
+        self, capsys, monkeypatch, kind, label, lo
+    ):
+        monkeypatch.setenv("ULAM_BUDGET", f"{label}=5")
+        code, out, err = run(capsys, "verify", "injection", "--kind", kind, "--n", "6", "--k", "9")
+        assert code == 2 and out == ""
+        assert err == f"error: {kind} injection at n=6 needs {lo} <= k <= 4, got k=9\n"
 
     def test_sequence_budget_refusal_of_hooks_states_no_pairs(self, capsys):
         code, out, err = run(capsys, "sequence", "--class", "h", "--n", "17")

@@ -10,7 +10,6 @@ from ulamdist.injections import (
     _rank_inject_rows,
     hook_inject,
     lift,
-    pair_type,
     protected_inject,
     two_row_inject,
 )
@@ -19,11 +18,17 @@ from ulamdist.tableaux import (
     Tableau,
     _tableau,
     hook_tableaux,
+    hook_type,
     is_lm_protected,
     parse_tableau,
     protected_decompose,
     rsk,
 )
+
+
+def pair_type(t1, t2):
+    return hook_type(t1), hook_type(t2)
+
 
 BASE_CASES = [
     (3, 1, 3, "1/2/3", "1,2,3", "1,2/3", "1,3/2"),
