@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, neg, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import injections, paths, permutations, tableaux
@@ -224,7 +224,9 @@ def _check_budget(label: str, n: int, pairs: Optional[Callable[[], int]] = None)
         )
 
 
-def _check_lm(canonical: str, lm: Optional[tuple[int, int]], n: int) -> None:
+def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> None:
+    """Check n, then lm, then the budget: a bad lm is named before a refusal."""
+    _check_n(n)
     if canonical == "protected":
         if lm is None:
             raise ValueError("class 'protected' requires the lm parameter")
@@ -233,6 +235,7 @@ def _check_lm(canonical: str, lm: Optional[tuple[int, int]], n: int) -> None:
             raise ValueError(f"lm must satisfy 1 <= l <= m <= n={n}, got {l},{m}")
     elif lm is not None:
         raise ValueError(f"class {canonical!r} takes no lm parameter")
+    _check_budget(canonical, n)
 
 
 def _check_k(kind: str, n: int, k: Optional[int], lo: int, hi: int) -> None:
@@ -268,13 +271,10 @@ def involutions(n: int) -> Iterator[Perm]:
 
 
 def _permutations_of(n: int, first: Optional[int]) -> Iterator[Perm]:
-    values = range(1, n + 1)
     if first is None:
-        yield from itertools.permutations(values)
-    else:
-        rest = [v for v in values if v != first]
-        for tail in itertools.permutations(rest):
-            yield (first,) + tail
+        return itertools.permutations(range(1, n + 1))
+    rest = [v for v in range(1, n + 1) if v != first]
+    return map((first,).__add__, itertools.permutations(rest))
 
 
 def _two_row_tableaux(n: int) -> Iterator[Tableau]:
@@ -297,8 +297,7 @@ def enumerate_class(
 ) -> Iterator[Perm] | Iterator[Tableau]:
     """Yield every member of a class exactly once."""
     canonical = resolve_label(label)
-    _check_budget(canonical, n)
-    _check_lm(canonical, lm, n)
+    _check_class(canonical, n, lm)
     return _CLASSES[canonical].members(n, lm)
 
 
@@ -329,46 +328,56 @@ def _make_sequence(label: str, n: int, raw: Counter) -> ClassSequence:
     return ClassSequence(label, n, {k: raw.get(k, 0) for k in ks})
 
 
+def _patience(tails: list[int], xs: Iterable[int]) -> list[int]:
+    """A copy of the tails array after inserting xs by patience sorting."""
+    tails = tails[:]
+    for x in xs:
+        tails[bisect_left(tails, x)] = x
+    return tails
+
+
 def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     """Tight counting loop for the classes swept over all of S_n.
 
-    LIS by patience sorting on a tails array padded with the sentinel
-    n + 1, one ``t[bisect_left(t, x)] = x`` per entry; LDS as the LIS of
-    the negated entries, sentinel 0.  Permutations sharing their first
-    n - 3 entries (runs of 6 in ``itertools.permutations`` order) reuse
-    that prefix's tails.  The prefix is compared for every permutation,
-    so the counts do not depend on the order.  A run whose prefix already
-    fails the row's ``keep`` is skipped whole: the insertion shape only
-    grows, so three rows (b) or a shape that is not a hook (m) stays so.
+    LIS by patience sorting on tails padded with n + 1; LDS as the LIS of
+    the negated entries, padded with 0.  Permutations sharing their first
+    n - 5 entries share that prefix's tails.  A remaining value meets only
+    tails and other remaining values, so a completion's statistic depends
+    only on the number of tails and each remaining value's bisect position
+    among them (LIS and LDS tails, for a class with ``keep``).  That key
+    names a table, kept for one call, of the statistic of every ordering of
+    the remaining values, 0 where ``keep`` rejects it; each permutation is
+    looked up by its own last entries, so the order does not matter.  A run
+    whose prefix fails ``keep`` is skipped whole (``keep`` holds on every
+    prefix of a permutation it keeps).
     """
-    counts = [0] * (n + 1)
     keep = _CLASSES[label].keep
-    m = max(n - 3, 0)
+    m = max(n - 5, 0)
     top = n + 1
+    tables: dict[tuple[int, ...], list[int]] = {}
+    counts: Counter = Counter()
     for prefix, run in itertools.groupby(_permutations_of(n, first), itemgetter(slice(m))):
-        up_head = [top] * n
-        for x in prefix:
-            up_head[bisect_left(up_head, x)] = x
+        rest = [v for v in range(1, top) if v not in prefix]
+        up_head = _patience([top] * n, prefix)
+        key = (bisect_left(up_head, top), *[bisect_left(up_head, x) for x in rest])
         if keep is not None:
-            down_head = [0] * n
-            for x in prefix:
-                down_head[bisect_left(down_head, -x)] = -x
-            # An empty prefix (n <= 3) rules nothing out.
-            if m and not keep(bisect_left(up_head, top), bisect_left(down_head, 0), m):
+            down_head = _patience([0] * n, map(neg, prefix))
+            d = bisect_left(down_head, 0)
+            # An empty prefix (n <= 5) rules nothing out.
+            if m and not keep(key[0], d, m):
                 continue
-        for p in run:
-            up = up_head[:]
-            for x in p[m:]:
-                up[bisect_left(up, x)] = x
-            k = bisect_left(up, top)
-            if keep is not None:
-                down = down_head[:]
-                for x in p[m:]:
-                    down[bisect_left(down, -x)] = -x
-                if not keep(k, bisect_left(down, 0), n):
-                    continue
-            counts[k] += 1
-    return Counter({k: c for k, c in enumerate(counts) if c})
+            key += (d, *[bisect_left(down_head, -x) for x in rest])
+        if key not in tables:
+            ks = tables[key] = []
+            for q in itertools.permutations(rest):
+                k = bisect_left(_patience(up_head, q), top)
+                rejected = keep is not None and not keep(
+                    k, bisect_left(_patience(down_head, map(neg, q)), 0), n)
+                ks.append(0 if rejected else k)
+        table = dict(zip(itertools.permutations(rest), tables[key]))
+        counts.update(map(table.__getitem__, map(itemgetter(slice(m, None)), run)))
+    counts.pop(0, None)
+    return counts
 
 
 def sequence(
@@ -386,8 +395,7 @@ def sequence(
     """
     canonical = resolve_label(label)
     row = _CLASSES[canonical]
-    _check_budget(canonical, n)
-    _check_lm(canonical, lm, n)
+    _check_class(canonical, n, lm)
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs is not None and jobs > 1 and not row.swept:
@@ -722,9 +730,9 @@ def verify_injection(
 
     Before any enumeration, every kind checks in this order: the kind; that
     lm is given for the protected kind only; that n >= 1; that an explicit
-    k lies in the kind's range; the budget of every class enumerated, where a
-    refused hook or flip states its number of pairs; last, for the
-    protected kind, the range of lm."""
+    k lies in the kind's range; for the protected kind, the range of lm;
+    last, the budget of every class enumerated, where a refused hook or flip
+    states its number of pairs."""
     if kind not in ("hook", "flip", "protected", "lift"):
         raise ValueError(f"unknown injection kind {kind!r}")
     if kind != "protected" and lm is not None:

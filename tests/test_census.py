@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -167,24 +168,24 @@ SWEEP_LABELS = ["all_permutations", "avoid321_permutations", "hook_pair_permutat
 
 
 @lru_cache(maxsize=None)
-def _lis_lds_by_first(n):
-    """(first entry, lis, lds) of every permutation of 1..n, the slow way."""
+def _lis_lds_by_first(n, first):
+    """(lis, lds) of every permutation of 1..n starting with first, the slow way."""
+    rest = [v for v in range(1, n + 1) if v != first]
     return [
-        (p[0], lis_length(p), lds_length(p))
-        for p in itertools.permutations(range(1, n + 1))
+        (lis_length(p), lds_length(p))
+        for p in ((first,) + q for q in itertools.permutations(rest))
     ]
 
 
 def _brute_sweep(label, n, first):
     counts = Counter()
-    for head, k, d in _lis_lds_by_first(n):
-        if first is not None and head != first:
-            continue
-        if label == "avoid321_permutations" and d > 2:
-            continue
-        if label == "hook_pair_permutations" and k + d != n + 1:
-            continue
-        counts[k] += 1
+    for head in range(1, n + 1) if first is None else (first,):
+        for k, d in _lis_lds_by_first(n, head):
+            if label == "avoid321_permutations" and d > 2:
+                continue
+            if label == "hook_pair_permutations" and k + d != n + 1:
+                continue
+            counts[k] += 1
     return dict(counts)
 
 
@@ -208,9 +209,35 @@ class TestSweepOracle:
             return iter(perms)
 
         monkeypatch.setattr(census, "_permutations_of", shuffled)
-        for n in range(1, 8):
+        for n in range(1, 9):
             for first in (None, 1, n):
                 assert dict(census._sweep_counts(label, n, first)) == _brute_sweep(label, n, first)
+
+    @pytest.mark.parametrize("label", SWEEP_LABELS)
+    def test_tables_shared_across_many_prefixes(self, label):
+        # At n = 9 each first entry spans 8!/5! prefixes of four entries,
+        # far more than the distinct tables they look up.
+        for first in (1, 5, 9):
+            assert dict(census._sweep_counts(label, 9, first)) == _brute_sweep(label, 9, first)
+
+    @pytest.mark.parametrize("label", SWEEP_LABELS)
+    def test_reads_every_permutation_exactly_once(self, label, monkeypatch):
+        read = []
+        permutations_of = census._permutations_of
+
+        def recorded(n, first):
+            for p in permutations_of(n, first):
+                read.append(p)
+                yield p
+
+        monkeypatch.setattr(census, "_permutations_of", recorded)
+        sequence(label, 8)
+        assert len(read) == len(set(read)) == math.factorial(8)
+        for first in range(1, 9):
+            read.clear()
+            census._sweep_counts(label, 8, first)
+            assert len(read) == len(set(read)) == math.factorial(7)
+            assert {p[0] for p in read} == {first}
 
 
 class TestShapeCounts:
@@ -897,6 +924,22 @@ class TestVerifyInjectionRanges:
             verify_injection("protected", 6, lm=lm)
         with pytest.raises(ValueError, match="1 <= l <= m <= n=6"):
             sequence("protected", 6, lm=lm)
+
+    @pytest.mark.parametrize(
+        "label, lm, message",
+        [("protected", (4, 2), "lm must satisfy 1 <= l <= m <= n=6, got 4,2"),
+         ("protected", None, "class 'protected' requires the lm parameter"),
+         ("all_permutations", (1, 1), "class 'all_permutations' takes no lm parameter")],
+    )
+    def test_a_bad_lm_is_named_before_the_budget_refusal(self, monkeypatch, label, lm, message):
+        monkeypatch.setenv("ULAM_BUDGET", f"{label}=5")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sequence(label, 6, lm=lm)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_class(label, 6, lm=lm)
+        if label == "protected" and lm is not None:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                verify_injection("protected", 6, lm=lm)
 
     def test_empty_domain_without_k_is_a_valid_report(self):
         report = verify_injection("hook", 2)

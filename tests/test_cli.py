@@ -355,6 +355,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: {kind} injection at n=6 needs {lo} <= k <= 4, got k=9\n"
 
+    @pytest.mark.parametrize(
+        "command", [("verify", "injection", "--kind"), ("sequence", "--class")]
+    )
+    def test_a_bad_lm_is_named_before_the_budget_refusal(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("ULAM_BUDGET", "protected=5")
+        code, out, err = run(capsys, *command, "protected", "--n", "6", "--lm", "4,2")
+        assert code == 2 and out == ""
+        assert err == "error: lm must satisfy 1 <= l <= m <= n=6, got 4,2\n"
+
     def test_sequence_budget_refusal_of_hooks_states_no_pairs(self, capsys):
         code, out, err = run(capsys, "sequence", "--class", "h", "--n", "17")
         assert code == 2 and out == ""
