@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import injections, paths, permutations, tableaux
@@ -339,43 +339,48 @@ def _patience(tails: list[int], xs: Iterable[int]) -> list[int]:
 def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     """Tight counting loop for the classes swept over all of S_n.
 
-    LIS by patience sorting on tails padded with n + 1; LDS as the LIS of
-    the negated entries, padded with 0.  Permutations sharing their first
-    n - 5 entries share that prefix's tails.  A remaining value meets only
-    tails and other remaining values, so a completion's statistic depends
-    only on the number of tails and each remaining value's bisect position
-    among them (LIS and LDS tails, for a class with ``keep``).  That key
-    names a table, kept for one call, of the statistic of every ordering of
-    the remaining values, 0 where ``keep`` rejects it; each permutation is
-    looked up by its own last entries, so the order does not matter.  A run
-    whose prefix fails ``keep`` is skipped whole (``keep`` holds on every
-    prefix of a permutation it keeps).
+    LIS by patience sorting on tails padded with n + 1.  Permutations
+    sharing their first n - 5 entries share that prefix's tails.  A
+    remaining value meets only tails and other remaining values, so a
+    completion's LIS depends only on the number of tails and each remaining
+    value's bisect position among them.  That key names a table, kept for
+    one call, of the LIS of every ordering of the remaining values; each
+    permutation is looked up by its own last entries, so the order does not
+    matter.  The LDS is the LIS of the complement v -> n + 1 - v, so it is
+    read from the complemented prefix's table, reversed: the complements'
+    orderings come in reverse order.  A class with ``keep`` combines the two
+    once per pair of keys, 0 where ``keep`` rejects, and skips a run whose
+    prefix fails it (it holds on every prefix of a permutation it keeps).
     """
     keep = _CLASSES[label].keep
     m = max(n - 5, 0)
     top = n + 1
     tables: dict[tuple[int, ...], list[int]] = {}
+
+    def lis_table(prefix: Iterable[int], rest: list[int]) -> tuple[tuple[int, ...], list[int]]:
+        """The key of a prefix and the LIS of its completions by ``rest``."""
+        head = _patience([top] * n, prefix)
+        key = (bisect_left(head, top), *[bisect_left(head, x) for x in rest])
+        if key not in tables:
+            tables[key] = [bisect_left(_patience(head, q), top)
+                           for q in itertools.permutations(rest)]
+        return key, tables[key]
+
+    joint: dict[tuple, list[int]] = {}
     counts: Counter = Counter()
     for prefix, run in itertools.groupby(_permutations_of(n, first), itemgetter(slice(m))):
         rest = [v for v in range(1, top) if v not in prefix]
-        up_head = _patience([top] * n, prefix)
-        key = (bisect_left(up_head, top), *[bisect_left(up_head, x) for x in rest])
+        key, table = lis_table(prefix, rest)
         if keep is not None:
-            down_head = _patience([0] * n, map(neg, prefix))
-            d = bisect_left(down_head, 0)
+            down, lds = lis_table([top - x for x in prefix], [top - x for x in reversed(rest)])
             # An empty prefix (n <= 5) rules nothing out.
-            if m and not keep(key[0], d, m):
+            if m and not keep(key[0], down[0], m):
                 continue
-            key += (d, *[bisect_left(down_head, -x) for x in rest])
-        if key not in tables:
-            ks = tables[key] = []
-            for q in itertools.permutations(rest):
-                k = bisect_left(_patience(up_head, q), top)
-                rejected = keep is not None and not keep(
-                    k, bisect_left(_patience(down_head, map(neg, q)), 0), n)
-                ks.append(0 if rejected else k)
-        table = dict(zip(itertools.permutations(rest), tables[key]))
-        counts.update(map(table.__getitem__, map(itemgetter(slice(m, None)), run)))
+            if (key, down) not in joint:
+                joint[key, down] = [k if keep(k, d, n) else 0 for k, d in zip(table, lds[::-1])]
+            table = joint[key, down]
+        lookup = dict(zip(itertools.permutations(rest), table))
+        counts.update(map(lookup.__getitem__, map(itemgetter(slice(m, None)), run)))
     counts.pop(0, None)
     return counts
 
@@ -598,13 +603,12 @@ class InjectionReport:
         return {**data, "ok": self.ok, "witnesses": list(witnesses)}
 
 
-def _verdict(in_codomain: Callable, k: int, x) -> bool:
-    """``in_codomain(k, x)``, where a ValueError (the validator rejecting a
-    malformed image) is a False verdict."""
+def _fails(fn: Callable, *args) -> bool:
+    """Whether ``fn(*args)`` is false or raises ValueError."""
     try:
-        return bool(in_codomain(k, x))
+        return not fn(*args)
     except ValueError:
-        return False
+        return True
 
 
 def _check_injection(
@@ -616,18 +620,17 @@ def _check_injection(
 ) -> tuple[int, bool, bool, bool, list[str]]:
     """Apply ``f(a, b)`` to every pair of every ``(k, lefts, rights)``
     block and check each image pair (u, v), in this order; the map reads
-    all it needs off the pair, and k names the block's codomain:
+    all it needs off the pair, and k names the block's codomain.  A check
+    fails when its predicate is false or raises ValueError (a validator
+    rejecting a malformed image, or a check handed an image it cannot read).
 
     0. ``f`` itself: a ValueError it raises (a lift whose image tableaux
        are not standard or differ in shape) counts as a codomain failure,
        and the pair's other checks are skipped;
-    1. ``in_codomain(k, u)`` and, if that holds, ``in_codomain(k, v)``,
-       where a ValueError (the validator rejecting a malformed image)
-       counts as a failure; each predicate is a pure function of k and the
-       image, so its verdict is computed once per distinct image of a block;
-    2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``,
-       where a ValueError counts as a failure too (a map that leaves the
-       codomain can hand the check an image it cannot read);
+    1. ``in_codomain(k, u)`` and, if that holds, ``in_codomain(k, v)``;
+       each predicate is a pure function of k and the image, so its
+       verdict is computed once per distinct image of a block;
+    2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``;
     3. no earlier pair of the same block has the same image.
 
     ``inverse`` marks the named check as a deterministic left inverse g
@@ -644,7 +647,7 @@ def _check_injection(
     """
     name, holds = check if check is not None else ("", None)
 
-    def run(lefts: list, rights: list, verdict: Callable, seen: Optional[dict]):
+    def run(lefts: list, rights: list, outside: Callable, seen: Optional[dict]):
         """One pass over a block; ``seen`` None skips the collision check."""
         injective = codomain_ok = check_ok = True
         witnesses: list[str] = []
@@ -656,24 +659,17 @@ def _check_injection(
                     codomain_ok = False
                     witnesses.append(f"codomain: ({a}, {b}) -> error: {exc}")
                     continue
-                if not (verdict(u) and verdict(v)):
+                if outside(u) or outside(v):
                     codomain_ok = False
                     witnesses.append(f"codomain: ({a}, {b}) -> ({u}, {v})")
-                if holds is not None:
-                    try:
-                        held = holds(a, b, u, v)
-                    except ValueError:
-                        held = False
-                    if not held:
-                        check_ok = False
-                        witnesses.append(f"{name}: ({a}, {b}) -> ({u}, {v})")
+                if holds is not None and _fails(holds, a, b, u, v):
+                    check_ok = False
+                    witnesses.append(f"{name}: ({a}, {b}) -> ({u}, {v})")
                 if seen is None:
                     continue
-                key = (u, v)
-                earlier = seen.get(key)
-                if earlier is None:
-                    seen[key] = (a, b)
-                else:
+                pair = (a, b)
+                earlier = seen.setdefault((u, v), pair)
+                if earlier is not pair:
                     injective = False
                     shown = tuple(x if isinstance(x, tuple) else str(x) for x in earlier)
                     witnesses.append(f"collision: {shown} and ({a}, {b})")
@@ -685,10 +681,10 @@ def _check_injection(
     for k, lefts, rights in blocks:
         domain += len(lefts) * len(rights)
         # The codomain depends on k, so a memo never outlives its block.
-        verdict = cache(partial(_verdict, in_codomain, k))
-        block = run(lefts, rights, verdict, None) if inverse else None
+        outside = cache(partial(_fails, in_codomain, k))
+        block = run(lefts, rights, outside, None) if inverse else None
         if block is None or not block[2]:
-            block = run(lefts, rights, verdict, {})
+            block = run(lefts, rights, outside, {})
         injective &= block[0]
         codomain_ok &= block[1]
         check_ok &= block[2]
@@ -740,29 +736,29 @@ def verify_injection(
     if kind == "protected" and lm is None:
         raise ValueError("protected verification requires lm")
     _check_n(n)
-    mid = None if k is None else k + 1
 
     def sides(label: str, count: Callable[[int, int], int], build: Callable, lo: int):
         """Check k against lo <= k <= n - 2, then the budget of ``label``,
         whose refusal counts the pairs by ``count(n, e)``; return the lazy
-        members ``build(n, e)`` for every lo <= e <= n, or, with k given,
-        for e = k and k + 2."""
+        blocks (e + 1, members ``build(n, e)``, members ``build(n, e + 2)``)
+        for every lo <= e <= n - 2, or for e = k, building each e once."""
         _check_k(kind, n, k, lo, n - 2)
         ks = range(lo, n - 1) if k is None else (k,)
         _check_budget(label, n, lambda: sum(count(n, e) * count(n, e + 2) for e in ks))
-        return (x for e in (range(lo, n + 1) if k is None else (k, k + 2)) for x in build(n, e))
+        side = cache(lambda e: list(build(n, e)))
+        return ((e + 1, side(e), side(e + 2)) for e in ks)
 
-    def into(label: str, j: Optional[int], f: Callable, members: Iterable, check=None):
+    def into(label: str, f: Callable, members: Iterable):
         """The kernel's arguments for f on the blocks of ``members`` by
         statistic, into the class ``label``."""
         row = _CLASSES[label]
-        return _stat_blocks(members, row.stat, j), f, partial(row.contains, n, lm), check
+        return _stat_blocks(members, row.stat, k), f, partial(row.contains, n, lm)
 
     if kind == "hook":
         ht = tableaux.hook_type
-        runs = {"": into(
-            "hooks", mid, injections.hook_inject,
+        runs = {"": (
             sides("hooks", _hook_count, tableaux.hook_tableaux, 1),
+            injections.hook_inject, partial(_CLASSES["hooks"].contains, n, lm),
             ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (ht(t1), ht(t2))),
         )}
     elif kind == "flip":
@@ -775,21 +771,20 @@ def verify_injection(
             back = paths.flip_preimage(r, s)
             return back is not None and (back[0].steps, back[1].steps) == (p.steps, q.steps)
 
-        members = sides("two_row_tableaux", _two_row_count, paths.lattice_paths, (n + 1) // 2)
-        runs = {"": (_stat_blocks(members, lambda p: p.east, mid), paths.flip_inject, in_paths,
-                     ("preimage", preimage))}
+        runs = {"": (sides("two_row_tableaux", _two_row_count, paths.lattice_paths, (n + 1) // 2),
+                     paths.flip_inject, in_paths, ("preimage", preimage))}
     elif kind == "protected":
         _check_k(kind, n, k, 2, n - 1)
-        members = enumerate_class("protected", n, lm=lm)
-        runs = {"": into("protected", k, injections.protected_inject, members)}
+        runs = {"": into("protected", injections.protected_inject,
+                         enumerate_class("protected", n, lm=lm))}
     else:
         # Each shape-rigid class at size n with its tableau injection, every
         # witness labelled with its class.  lift validates each distinct
         # image tableau once per run, before inverting row insertion.
         _check_k(kind, n, k, 2, n - 1)
-        checked: set = set()
+        check = cache(injections.check_tableau)
         runs = {
-            prefix: into(label, k, partial(injections.lift, inj, checked=checked),
+            prefix: into(label, partial(injections.lift, inj, check=check),
                          enumerate_class(label, n))
             for name, prefix, label, inj in (
                 ("hook", "hook-class ", "hook_pair_permutations", injections.hook_inject),

@@ -28,7 +28,7 @@ map checks only that its pair lies in its domain, and never its images.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .paths import flip_inject, path_to_tableau, tableau_to_path
 from .permutations import Perm
@@ -221,7 +221,7 @@ def lift(
     inj: Callable[[Tableau, Tableau], tuple[Tableau, Tableau]],
     p1: Perm,
     p2: Perm,
-    checked: Optional[set] = None,
+    check: Callable[[tuple[Row, ...]], None] = check_tableau,
 ) -> tuple[Perm, Perm]:
     """Turn an injection on single tableaux into one on permutation pairs.
 
@@ -229,19 +229,16 @@ def lift(
     whose tableau pairs are inj(P1, P2) and inj(Q1, Q2).  That only defines
     permutations when the four images are standard and each image pair
     shares a shape, which holds for shape-rigid classes (hooks, two-row
-    tableaux); a violation raises ValueError instead of guessing.  Images
-    whose rows are in ``checked`` are known standard; a caller lifting many
-    pairs shares one set, so each distinct image is validated once.
+    tableaux); a violation raises ValueError instead of guessing.  ``check``
+    validates the rows of each image, P pair then Q pair, before any shapes
+    are compared; a caller lifting many pairs passes one memoised validator.
     """
     p_tab1, q_tab1 = rsk(p1)
     p_tab2, q_tab2 = rsk(p2)
     img_p = inj(p_tab1, p_tab2)
     img_q = inj(q_tab1, q_tab2)
-    checked = set() if checked is None else checked
     for t in (*img_p, *img_q):
-        if t.rows not in checked:
-            check_tableau(t.rows)
-            checked.add(t.rows)
+        check(t.rows)
     for left, right in (img_p, img_q):
         if [*map(len, left.rows)] != [*map(len, right.rows)]:
             raise ValueError(

@@ -59,10 +59,6 @@ class LatticePath:
     def east(self) -> int:
         return self.steps.count("E")
 
-    @property
-    def endpoint(self) -> tuple[int, int]:
-        return (self.east, self.n - self.east)
-
     def __str__(self) -> str:
         return self.steps
 

@@ -7,8 +7,8 @@ Validation happens where tableaux enter: the public constructor
 ``Tableau(rows)`` and :func:`parse_tableau` run :func:`check_tableau`, the
 injection checks of :mod:`ulamdist.census` run it on every distinct image a
 map under test returns within a block, and :func:`ulamdist.injections.lift`
-runs it once on each distinct image tableau of the pairs it lifts in one
-check.  The builders here
+validates its images through the validator it is given: the census gives
+it one memoised check per run.  The builders here
 (:func:`rsk`, :func:`hook_from_first_row`, :func:`standard_tableaux`,
 :func:`attach_surplus`) produce standard tableaux by construction, so they
 trust their input and build through the unchecked ``_tableau``, the way the

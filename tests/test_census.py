@@ -239,6 +239,27 @@ class TestSweepOracle:
             assert len(read) == len(set(read)) == math.factorial(7)
             assert {p[0] for p in read} == {first}
 
+    @pytest.mark.parametrize("label, most", [
+        ("all_permutations", 28104), ("avoid321_permutations", 39999),
+        ("hook_pair_permutations", 39999),
+    ])
+    def test_patience_sorts_per_lis_key(self, label, most, monkeypatch):
+        # u sorts the 9!/5! prefixes' tails and 209 tables of 5! orderings.
+        # b and m read the LDS off the complement's LIS tables, so they add
+        # only the complemented prefixes' tails; tables keyed by LIS and LDS
+        # together took 96,768 (b) and 160,608 (m) sorts.
+        calls = 0
+        patience = census._patience
+
+        def counted(tails, xs):
+            nonlocal calls
+            calls += 1
+            return patience(tails, xs)
+
+        monkeypatch.setattr(census, "_patience", counted)
+        sequence(label, 9)
+        assert calls <= most
+
 
 class TestShapeCounts:
     def test_matches_enumeration(self):
@@ -1011,6 +1032,27 @@ def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):
     }
     assert calls == Counter(u.rows for u in images)
     assert sum(calls.values()) == len(images) == 62 < 2 * report.domain_size == 990
+
+
+@pytest.mark.parametrize("kind, n, module, builder, calls", [
+    ("hook", 9, tableaux, "hook_from_first_row", 2 ** 8),
+    ("flip", 11, paths, "lattice_paths", len(range(6, 12))),
+])
+def test_hook_and_flip_build_each_statistic_once(kind, n, module, builder, calls, monkeypatch):
+    # Without k, the members with statistic e serve two blocks: as the left
+    # side of block e and the right side of block e - 2.  Hook builds one
+    # tableau per hook, flip calls the path builder once per e.
+    count = 0
+    build = getattr(module, builder)
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return build(*args)
+
+    monkeypatch.setattr(module, builder, counted)
+    assert verify_injection(kind, n).ok
+    assert count == calls
 
 
 def test_protected_decomposes_each_tableau_once_per_use(monkeypatch):

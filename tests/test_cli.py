@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from math import factorial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ulamdist
-from ulamdist import injections, paths, tableaux
+from ulamdist import census, injections, paths, tableaux
 from ulamdist.census import enumeration_cap
 from ulamdist.cli import build_parser, main
 
@@ -447,3 +452,71 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# A fuzz over the parser's own vocabulary
+
+
+INTS = [str(i) for i in range(-3, 9)]
+TABLEAUX = ["1,2/3", "1,3/2", "1,2,3", "1/2/3", "1,2/3,4", "1,2,4/3", "1,3,4,5/2",
+            "2,1", "1,2/2", "1,,2", "1/", "a", "", "1;2"]
+VALUES = {
+    "--class": [name for name, row in census._CLASSES.items()]
+    + [row.alias for row in census._CLASSES.values() if row.alias] + ["x", "Hooks", ""],
+    "--n": INTS, "--n-max": INTS, "--k": INTS, "--jobs": INTS,
+    "--format": ["csv", "json", "xml"],
+    "--method": ["enumerate", "shapes", "exact"],
+    "--kind": ["hook", "flip", "protected", "lift", "rsk"],
+    "--lm": ["1,1", "2,4", "2,3", "3,5", "4,2", "0,0", "2", "2,4,6", "a,b", "-1,2", " 2, 4"],
+    "--perm": ["3,1,4,2", "1", "2,1", "1,1", "0,1", "1,3", "-1", "a", "1,,2", ""],
+    "--inverse": ["1,2/3;1,3/2", "1,3/2;1,3/2", "1;1", "1,2;1/2", "1,2/3", "1;2;3", ";", "x;y"],
+    "--t1": TABLEAUX, "--t2": TABLEAUX, "--tableau": TABLEAUX,
+    "--p": ["ENEN", "EEEE", "EENN", "EENENNE", "ENEEEEE", "NE", "EX", "E", ""],
+    "--q": ["ENEN", "EEEE", "EENE", "EEEEENE", "ENEEEEE", "NE", "en", "E", ""],
+    "--help": [],
+}
+COMMANDS = {
+    ("sequence",): ["--class", "--n", "--format", "--lm", "--jobs", "--method"],
+    ("verify", "conjecture"): ["--n-max", "--jobs"],
+    ("verify", "injection"): ["--kind", "--n", "--k", "--lm"],
+    ("verify", "formulas"): ["--n-max"],
+    ("rsk",): ["--perm", "--inverse"],
+    ("inject", "hook"): ["--t1", "--t2"],
+    ("path",): ["--tableau"],
+    ("path", "flip"): ["--p", "--q"],
+    ("verify",): [], ("inject",): [], (): [], ("frobnicate",): [],
+}
+ANY_VALUE = sorted({v for values in VALUES.values() for v in values})
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, a subset of its own flags and at most one other, in
+    any order, each flag with a value from its own vocabulary or any."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = draw(st.lists(st.sampled_from(COMMANDS[command] or ["--help"]), unique=True))
+    flags += draw(st.lists(st.sampled_from(sorted(VALUES)), max_size=1))
+    argv = list(command)
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if VALUES[flag]:
+            argv.append(draw(st.sampled_from(VALUES[flag]) | st.sampled_from(ANY_VALUE)))
+    return argv
+
+
+@settings(derandomize=True, deadline=None)
+@given(argvs())
+def test_any_command_exits_0_or_2_without_a_traceback(argv):
+    # Every n is at most 8 and the budget 7, so each command ends fast;
+    # --method shapes has no budget, and n <= 8 keeps it cheap too.
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"ULAM_BUDGET": "7"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert "error: " in err.getvalue() or "usage: " in err.getvalue(), argv

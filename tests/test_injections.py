@@ -318,3 +318,24 @@ class TestLift:
         with pytest.raises(ValueError) as exc:
             lift(bad_inj, (1, 2, 3), (1, 2, 3))
         assert str(exc.value) == message
+
+    def test_check_is_handed_every_image_before_any_shape_comparison(self):
+        # The P images differ in shape, yet all four reach the validator,
+        # the P pair then the Q pair, before lift names the mismatch.
+        images = [(((1, 2, 3),), ((1, 3), (2,))), (((1, 2), (3,)), ((1, 2), (3,)))]
+        outs = iter(images)
+
+        def bad_inj(t1, t2):
+            return tuple(_tableau(rows) for rows in next(outs))
+
+        handed = []
+        with pytest.raises(ValueError, match="^shape rigidity violated"):
+            lift(bad_inj, (1, 2, 3), (1, 2, 3), check=handed.append)
+        assert handed == [rows for pair in images for rows in pair]
+
+    def test_check_sees_the_images_it_lifts(self):
+        p1, p2 = (4, 3, 2, 1, 5), (2, 1, 3, 4, 5)
+        handed = []
+        assert lift(hook_inject, p1, p2, check=handed.append) == lift(hook_inject, p1, p2)
+        (pt1, qt1), (pt2, qt2) = rsk(p1), rsk(p2)
+        assert handed == [t.rows for t in (*hook_inject(pt1, pt2), *hook_inject(qt1, qt2))]

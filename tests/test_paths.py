@@ -18,7 +18,7 @@ from ulamdist.tableaux import Tableau, parse_tableau
 class TestLatticePath:
     def test_valid(self):
         p = LatticePath("EENENNE")
-        assert p.endpoint == (4, 3)
+        assert (p.east, p.n - p.east) == (4, 3)
         assert p.n == 7
 
     @pytest.mark.parametrize("bad", ["N", "ENN", "EX", ""])
@@ -68,7 +68,7 @@ class TestFlipInject:
         q = parse_path("ENEEEEE")
         r, s = flip_inject(p, q)
         assert (r.steps, s.steps) == ("EENENEE", "ENEEENE")
-        assert r.endpoint == s.endpoint == (5, 2)
+        assert (r.east, r.n - r.east) == (s.east, s.n - s.east) == (5, 2)
 
     def test_smallest_case_n4(self):
         r, s = flip_inject(parse_path("ENEN"), parse_path("EEEE"))
