@@ -340,48 +340,59 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     """Tight counting loop for the classes swept over all of S_n.
 
     LIS by patience sorting on tails padded with n + 1.  Permutations
-    sharing their first n - 5 entries share that prefix's tails.  A
-    remaining value meets only tails and other remaining values, so a
-    completion's LIS depends only on the number of tails and each remaining
-    value's bisect position among them.  That key names a table, kept for
-    one call, of the LIS of every ordering of the remaining values; each
-    permutation is looked up by its own last entries, so the order does not
-    matter.  The LDS is the LIS of the complement v -> n + 1 - v, so it is
-    read from the complemented prefix's table, reversed: the complements'
-    orderings come in reverse order.  A class with ``keep`` combines the two
-    once per pair of keys, 0 where ``keep`` rejects, and skips a run whose
-    prefix fails it (it holds on every prefix of a permutation it keeps).
+    sharing a prefix share that prefix's tails.  A remaining value meets
+    only tails and other remaining values, so a completion's LIS depends
+    only on the number of tails and each remaining value's bisect position
+    among them.  That key names a table, kept for one call, of the LIS of
+    every ordering of the remaining values.  The LDS is the LIS of the
+    complement v -> n + 1 - v, so it is read from the complemented prefix's
+    table, reversed: the complements' orderings come in reverse order.  A
+    class with ``keep`` counts the completions it accepts, and skips a run
+    whose prefix fails it (it holds on every prefix of a permutation it
+    keeps).
+
+    The prefix is the first m = max(n - 5, 1 if a first entry is given)
+    entries, so a given first entry is always in it.  The reader yields each
+    permutation once, so the runs of one prefix hold (n - m)! permutations
+    in all, whatever the order or however they are split: each run adds its
+    length to its key's tally, and each key counts as its table's histogram
+    times its tally over (n - m)!, added once at the end.
     """
     keep = _CLASSES[label].keep
-    m = max(n - 5, 0)
+    m = max(n - 5, first is not None)
     top = n + 1
     tables: dict[tuple[int, ...], list[int]] = {}
 
-    def lis_table(prefix: Iterable[int], rest: list[int]) -> tuple[tuple[int, ...], list[int]]:
-        """The key of a prefix and the LIS of its completions by ``rest``."""
+    def lis_key(prefix: Iterable[int], rest: list[int]) -> tuple[int, ...]:
+        """The key of a prefix; its table holds the LIS of its completions by ``rest``."""
         head = _patience([top] * n, prefix)
         key = (bisect_left(head, top), *[bisect_left(head, x) for x in rest])
         if key not in tables:
             tables[key] = [bisect_left(_patience(head, q), top)
                            for q in itertools.permutations(rest)]
-        return key, tables[key]
+        return key
 
-    joint: dict[tuple, list[int]] = {}
-    counts: Counter = Counter()
+    whole: Counter = Counter()
     for prefix, run in itertools.groupby(_permutations_of(n, first), itemgetter(slice(m))):
         rest = [v for v in range(1, top) if v not in prefix]
-        key, table = lis_table(prefix, rest)
+        key = lis_key(prefix, rest)
         if keep is not None:
-            down, lds = lis_table([top - x for x in prefix], [top - x for x in reversed(rest)])
-            # An empty prefix (n <= 5) rules nothing out.
+            down = lis_key([top - x for x in prefix], [top - x for x in reversed(rest)])
+            # An empty prefix (n <= 5, no first entry) rules nothing out.
             if m and not keep(key[0], down[0], m):
                 continue
-            if (key, down) not in joint:
-                joint[key, down] = [k if keep(k, d, n) else 0 for k, d in zip(table, lds[::-1])]
-            table = joint[key, down]
-        lookup = dict(zip(itertools.permutations(rest), table))
-        counts.update(map(lookup.__getitem__, map(itemgetter(slice(m, None)), run)))
-    counts.pop(0, None)
+            key = key, down
+        whole[key] += len(list(run))
+    full = factorial(n - m)
+    counts: Counter = Counter()
+    for key, times in whole.items():
+        if keep is None:
+            table = tables[key]
+        else:
+            up, down = key
+            table = [k for k, d in zip(tables[up], reversed(tables[down])) if keep(k, d, n)]
+        for k, c in Counter(table).items():
+            counts[k] += c * times // full
     return counts
 
 

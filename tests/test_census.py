@@ -124,6 +124,9 @@ class TestSequences:
             serial = sequence(label, 6)
             parallel = sequence(label, 6, jobs=2)
             assert serial == parallel
+        # At n = 9 each first-entry part has complete runs and keep-pruned prefixes.
+        for label in ("b", "m"):
+            assert sequence(label, 9, jobs=2) == sequence(label, 9)
 
     def test_protected_sequence(self):
         seq = sequence("protected", 6, lm=(2, 4))
@@ -208,10 +211,25 @@ class TestSweepOracle:
             random.Random(n).shuffle(perms)
             return iter(perms)
 
-        monkeypatch.setattr(census, "_permutations_of", shuffled)
-        for n in range(1, 9):
-            for first in (None, 1, n):
-                assert dict(census._sweep_counts(label, n, first)) == _brute_sweep(label, n, first)
+        # Every other prefix yields its completions in two halves, the second
+        # half moved to the front, so one sweep meets complete runs and
+        # partial runs of the same prefixes.
+        permutations_of = census._permutations_of
+
+        def split(n, first):
+            runs = [list(run) for _, run in itertools.groupby(
+                permutations_of(n, first), lambda p: p[:max(n - 5, 0)])]
+            halves = [run[len(run) // 2:] for run in runs[1::2]]
+            runs[1::2] = [run[:len(run) // 2] for run in runs[1::2]]
+            return itertools.chain(*halves, *runs)
+
+        lengths = {len(list(run)) for _, run in itertools.groupby(split(8, None), lambda p: p[:3])}
+        assert lengths == {60, 120}
+        for reader in (shuffled, split):
+            monkeypatch.setattr(census, "_permutations_of", reader)
+            for n in range(1, 9):
+                for first in (None, *range(1, n + 1)):
+                    assert dict(census._sweep_counts(label, n, first)) == _brute_sweep(label, n, first)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_tables_shared_across_many_prefixes(self, label):
