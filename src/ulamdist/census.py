@@ -41,9 +41,9 @@ class BudgetError(RuntimeError):
 class _Class(NamedTuple):
     """Everything the census knows about one class label.
 
-    The members of size n are ``base(n)``, kept where ``member(n, lm, x)``
-    holds when there is a filter; ``contains`` tests one candidate, such as
-    the image of an injection, against the same rule.  A swept class
+    The members of size n are ``base(n)``, kept where ``passes`` holds, by
+    the filter ``member(n, lm, x)`` if any; ``contains`` tests one candidate,
+    such as the image of an injection, against the same rule.  A swept class
     filters all of S_n and is counted by ``_sweep_counts``, which ``jobs``
     fans out; its filter, if any, is ``keep(k, d, n)`` on the LIS k, LDS d
     and size n, and holds on every prefix of a permutation it keeps.
@@ -65,8 +65,6 @@ class _Class(NamedTuple):
     shape_weight: Optional[int] = None
 
     def members(self, n: int, lm: Optional[tuple[int, int]]) -> Iterator:
-        if self.member is None and self.keep is None:
-            return self.base(n)
         return (x for x in self.base(n) if self.passes(n, lm, x))
 
     def passes(self, n: int, lm: Optional[tuple[int, int]], x) -> bool:
@@ -238,12 +236,6 @@ def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> None:
     _check_budget(canonical, n)
 
 
-def _check_k(kind: str, n: int, k: Optional[int], lo: int, hi: int) -> None:
-    """An explicit k must name a nonempty part of the injection's domain."""
-    if k is not None and not lo <= k <= hi:
-        raise ValueError(f"{kind} injection at n={n} needs {lo} <= k <= {hi}, got k={k}")
-
-
 # ---------------------------------------------------------------------------
 # Generators
 
@@ -351,15 +343,15 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     whose prefix fails it (it holds on every prefix of a permutation it
     keeps).
 
-    The prefix is the first m = max(n - 5, 1 if a first entry is given)
-    entries, so a given first entry is always in it.  The reader yields each
-    permutation once, so the runs of one prefix hold (n - m)! permutations
-    in all, whatever the order or however they are split: each run adds its
-    length to its key's tally, and each key counts as its table's histogram
-    times its tally over (n - m)!, added once at the end.
+    The prefix is the first m = max(n - 5, 1) entries, so a given first
+    entry is always in it.  The reader yields each permutation once, so the
+    runs of one prefix hold (n - m)! permutations in all, whatever the order
+    or however they are split: each run adds its length to its key's tally,
+    and each key counts as its table's histogram times its tally over
+    (n - m)!, added once at the end.
     """
     keep = _CLASSES[label].keep
-    m = max(n - 5, first is not None)
+    m = max(n - 5, 1)
     top = n + 1
     tables: dict[tuple[int, ...], list[int]] = {}
 
@@ -378,8 +370,7 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
         key = lis_key(prefix, rest)
         if keep is not None:
             down = lis_key([top - x for x in prefix], [top - x for x in reversed(rest)])
-            # An empty prefix (n <= 5, no first entry) rules nothing out.
-            if m and not keep(key[0], down[0], m):
+            if not keep(key[0], down[0], m):
                 continue
             key = key, down
         whole[key] += len(list(run))
@@ -703,16 +694,6 @@ def _check_injection(
     return domain, injective, codomain_ok, check_ok, witnesses
 
 
-def _stat_blocks(members: Iterable, stat: Callable, k_filter: Optional[int]):
-    """Blocks (k, members with stat k - 1, members with stat k + 1) for
-    k_filter, or for every statistic value present."""
-    by_k: dict[int, list] = {}
-    for x in members:
-        by_k.setdefault(stat(x), []).append(x)
-    for k in [k_filter] if k_filter is not None else sorted(by_k):
-        yield k, by_k.get(k - 1, []), by_k.get(k + 1, [])
-
-
 def verify_injection(
     kind: str,
     n: int,
@@ -725,8 +706,10 @@ def verify_injection(
     in the declared codomain; counterexamples are reported verbatim.
 
     Every kind sends pairs with statistics (j - 1, j + 1) to pairs with
-    statistic j and is checked one block per middle statistic j; hook and
-    flip name a block by k = j - 1, protected and lift by j.  Each map is
+    statistic j and is checked one block per middle statistic j over its
+    whole range lo < j < n (lo is (n + 1) // 2 for flip, else 1), whether
+    or not a class has members at j; hook and flip name a block by
+    k = j - 1, protected and lift by j.  Each map is
     called on the pair alone and reads n, the statistics and the
     protected area off it; j serves only the codomain check.  A class
     injection's codomain is read from the class table: a member of size n
@@ -747,28 +730,38 @@ def verify_injection(
     if kind == "protected" and lm is None:
         raise ValueError("protected verification requires lm")
     _check_n(n)
+    lo = (n + 1) // 2 if kind == "flip" else 1
+    shift = int(kind in ("protected", "lift"))
+    if k is not None and not lo + shift <= k <= n - 2 + shift:
+        raise ValueError(f"{kind} injection at n={n} needs {lo + shift} <= k <= "
+                         f"{n - 2 + shift}, got k={k}")
+    es = range(lo, n - 1) if k is None else (k - shift,)
 
-    def sides(label: str, count: Callable[[int, int], int], build: Callable, lo: int):
-        """Check k against lo <= k <= n - 2, then the budget of ``label``,
-        whose refusal counts the pairs by ``count(n, e)``; return the lazy
-        blocks (e + 1, members ``build(n, e)``, members ``build(n, e + 2)``)
-        for every lo <= e <= n - 2, or for e = k, building each e once."""
-        _check_k(kind, n, k, lo, n - 2)
-        ks = range(lo, n - 1) if k is None else (k,)
-        _check_budget(label, n, lambda: sum(count(n, e) * count(n, e + 2) for e in ks))
-        side = cache(lambda e: list(build(n, e)))
-        return ((e + 1, side(e), side(e + 2)) for e in ks)
+    def sides(label: str, count: Callable[[int, int], int], build: Callable):
+        """Check the budget of ``label``, whose refusal counts the pairs by
+        ``count(n, e)``; side e is then the members ``build(n, e)``, built once."""
+        _check_budget(label, n, lambda: sum(count(n, e) * count(n, e + 2) for e in es))
+        return cache(lambda e: list(build(n, e)))
 
     def into(label: str, f: Callable, members: Iterable):
-        """The kernel's arguments for f on the blocks of ``members`` by
-        statistic, into the class ``label``."""
+        """The side, map and codomain of f into the class ``label``: side e
+        is the members with statistic e, grouped in enumeration order on
+        first use."""
         row = _CLASSES[label]
-        return _stat_blocks(members, row.stat, k), f, partial(row.contains, n, lm)
+
+        @cache
+        def by_stat() -> dict[int, list]:
+            groups: dict[int, list] = {}
+            for x in members:
+                groups.setdefault(row.stat(x), []).append(x)
+            return groups
+
+        return lambda e: by_stat().get(e, []), f, partial(row.contains, n, lm)
 
     if kind == "hook":
         ht = tableaux.hook_type
         runs = {"": (
-            sides("hooks", _hook_count, tableaux.hook_tableaux, 1),
+            sides("hooks", _hook_count, tableaux.hook_tableaux),
             injections.hook_inject, partial(_CLASSES["hooks"].contains, n, lm),
             ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (ht(t1), ht(t2))),
         )}
@@ -782,17 +775,15 @@ def verify_injection(
             back = paths.flip_preimage(r, s)
             return back is not None and (back[0].steps, back[1].steps) == (p.steps, q.steps)
 
-        runs = {"": (sides("two_row_tableaux", _two_row_count, paths.lattice_paths, (n + 1) // 2),
+        runs = {"": (sides("two_row_tableaux", _two_row_count, paths.lattice_paths),
                      paths.flip_inject, in_paths, ("preimage", preimage))}
     elif kind == "protected":
-        _check_k(kind, n, k, 2, n - 1)
         runs = {"": into("protected", injections.protected_inject,
                          enumerate_class("protected", n, lm=lm))}
     else:
         # Each shape-rigid class at size n with its tableau injection, every
         # witness labelled with its class.  lift validates each distinct
         # image tableau once per run, before inverting row insertion.
-        _check_k(kind, n, k, 2, n - 1)
         check = cache(injections.check_tableau)
         runs = {
             prefix: into(label, partial(injections.lift, inj, check=check),
@@ -804,8 +795,9 @@ def verify_injection(
             if name in lift_classes
         }
     # Every check has passed: only now does enumeration start.
-    parts = [(prefix, _check_injection(*args, inverse=kind == "flip"))
-             for prefix, args in runs.items()]
+    parts = [(prefix, _check_injection(((e + 1, side(e), side(e + 2)) for e in es), *args,
+                                       inverse=kind == "flip"))
+             for prefix, (side, *args) in runs.items()]
     check_ok = all(result[3] for _, result in parts)
     return InjectionReport(
         kind, n, k,

@@ -211,14 +211,14 @@ class TestSweepOracle:
             random.Random(n).shuffle(perms)
             return iter(perms)
 
-        # Every other prefix yields its completions in two halves, the second
-        # half moved to the front, so one sweep meets complete runs and
-        # partial runs of the same prefixes.
+        # Every other prefix of the sweep's length yields its completions in
+        # two halves, the second half moved to the front, so one sweep meets
+        # complete runs and partial runs of the same prefixes.
         permutations_of = census._permutations_of
 
         def split(n, first):
             runs = [list(run) for _, run in itertools.groupby(
-                permutations_of(n, first), lambda p: p[:max(n - 5, 0)])]
+                permutations_of(n, first), lambda p: p[:max(n - 5, 1)])]
             halves = [run[len(run) // 2:] for run in runs[1::2]]
             runs[1::2] = [run[:len(run) // 2] for run in runs[1::2]]
             return itertools.chain(*halves, *runs)
@@ -1008,25 +1008,70 @@ def test_explicit_k_builds_only_its_two_sides(kind, module, name, k, built, monk
     assert items == built
 
 
-# Every broken hook or flip map above, as (module, name, map, kind, n).
+# Every broken map above, as (module, name, map, kind, n, keyword arguments).
 PER_K_BROKEN = {
-    **{case: (injections, attr, broken, *args)
-       for case, (attr, broken, args, _, _, _) in BROKEN_MAPS.items() if args[0] == "hook"},
-    **{f"flip-{name}-{n}": (paths, "flip_inject", broken, "flip", n)
+    **{case: (injections, attr, broken, *args, kwargs)
+       for case, (attr, broken, args, kwargs, _, _) in BROKEN_MAPS.items()},
+    **{f"flip-{name}-{n}": (paths, "flip_inject", broken, "flip", n, {})
        for (name, n), (broken, _, _) in BROKEN_FLIPS.items()},
+}
+
+# The k range of each kind at n: hook and flip name a block by its smaller
+# statistic, protected and lift by its middle one.
+K_RANGE = {
+    "hook": lambda n: range(1, n - 1),
+    "flip": lambda n: range((n + 1) // 2, n - 1),
+    "protected": lambda n: range(2, n),
+    "lift": lambda n: range(2, n),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PER_K_BROKEN))
 def test_explicit_k_witnesses_are_that_block_of_the_full_run(case, monkeypatch):
-    module, attr, broken, kind, n = PER_K_BROKEN[case]
+    # Each broken lift map breaks one class only, so the full run's
+    # witnesses, class by class, are also in k order.
+    module, attr, broken, kind, n, kwargs = PER_K_BROKEN[case]
     monkeypatch.setattr(module, attr, broken)
-    full = verify_injection(kind, n)
-    lo = 1 if kind == "hook" else (n + 1) // 2
-    per_k = [verify_injection(kind, n, k=k) for k in range(lo, n - 1)]
+    full = verify_injection(kind, n, **kwargs)
+    per_k = [verify_injection(kind, n, k=k, **kwargs) for k in K_RANGE[kind](n)]
     assert sum(r.domain_size for r in per_k) == full.domain_size
     assert tuple(w for r in per_k for w in r.witnesses) == full.witnesses
     assert not full.ok and full.witnesses
+
+
+@pytest.mark.parametrize("kind, n, kwargs, stats", [
+    ("hook", 6, {}, range(2, 6)),
+    ("flip", 8, {}, range(5, 8)),
+    ("protected", 7, {"lm": (2, 4)}, range(2, 7)),
+    ("protected", 7, {"lm": (3, 5)}, range(2, 7)),
+    ("lift", 5, {}, range(2, 5)),
+], ids=["hook", "flip", "protected-2-4", "protected-3-5", "lift"])
+def test_every_kind_checks_the_blocks_of_its_whole_k_range(kind, n, kwargs, stats, monkeypatch):
+    # Every block's statistic j, per kernel call (one per lift class), with
+    # or without members on either side: protected with lm (3, 5) at n = 7
+    # has none, and the lift classes have none at some statistics.
+    received = []
+    kernel = census._check_injection
+
+    def recorded(blocks, *args, **kw):
+        received.append([])
+
+        def each():
+            for block in blocks:
+                received[-1].append(block[0])
+                yield block
+
+        return kernel(each(), *args, **kw)
+
+    monkeypatch.setattr(census, "_check_injection", recorded)
+    calls = 2 if kind == "lift" else 1
+    verify_injection(kind, n, **kwargs)
+    assert received == [list(stats)] * calls
+    shift = kind in ("protected", "lift")
+    for k in K_RANGE[kind](n):
+        received.clear()
+        verify_injection(kind, n, k=k, **kwargs)
+        assert received == [[k + 1 - shift]] * calls
 
 
 def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):
