@@ -41,36 +41,41 @@ class BudgetError(RuntimeError):
 class _Class(NamedTuple):
     """Everything the census knows about one class label.
 
-    The members of size n are ``base(n)``, kept where ``passes`` holds, by
-    the filter ``member(n, lm, x)`` if any; ``contains`` tests one candidate,
-    such as the image of an injection, against the same rule.  A swept class
-    filters all of S_n and is counted by ``_sweep_counts``, which ``jobs``
-    fans out; its filter, if any, is ``keep(k, d, n)`` on the LIS k, LDS d
-    and size n, and holds on every prefix of a permutation it keeps.
-    ``per_k(n, k)`` and ``total(n)`` are closed forms; a ``shape_weight`` e
-    makes the count at k the sum of (f^shape)^e over the shapes of n with
-    first row k.  Every callable looks its helpers up when called, so
+    The members of size n are ``base(n)`` (with no base, the standard
+    tableaux of the shapes of n the rule admits) where ``passes`` holds: the
+    rule ``shapes(k, d, n)`` on the first row k and column d of the insertion
+    shape (a permutation's LIS and LDS), then the filter ``member(n, lm, x)``,
+    each if any; ``contains`` tests a candidate, such as an injection's image,
+    against the same rules.  A swept class filters all of S_n and is counted
+    by ``_sweep_counts``, which ``jobs`` fans out; its rule holds on every
+    prefix of a permutation it keeps.  ``per_k(n, k)`` and ``total(n)`` are
+    closed forms.  Every callable looks its helpers up when called, so
     patching or rebinding a module-level name reaches it.
     """
 
     alias: Optional[str]
     cap: int
-    base: Callable[[int], Iterator]
+    base: Optional[Callable[[int], Iterator]]
     member: Optional[Callable[[int, Optional[tuple[int, int]], object], bool]] = None
     perms: bool = True
     swept: bool = False
-    keep: Optional[Callable[[int, int, int], bool]] = None
+    shapes: Optional[Callable[[int, int, int], bool]] = None
     per_k: Optional[Callable[[int, int], int]] = None
     total: Optional[Callable[[int], int]] = None
-    shape_weight: Optional[int] = None
 
     def members(self, n: int, lm: Optional[tuple[int, int]]) -> Iterator:
-        return (x for x in self.base(n) if self.passes(n, lm, x))
+        if self.base is not None:
+            return (x for x in self.base(n) if self.passes(n, lm, x))
+        # Generated shape by shape, so the rule holds; only the filter is left.
+        made = _shaped_tableaux(self.shapes, n)
+        return made if self.member is None else (t for t in made if self.member(n, lm, t))
 
     def passes(self, n: int, lm: Optional[tuple[int, int]], x) -> bool:
-        """Whether a candidate of size n passes the row's filter."""
-        if self.keep is not None:
-            return self.keep(permutations.lis_length(x), permutations.lds_length(x), n)
+        """Whether a candidate of size n passes the row's shape rule, then its filter."""
+        if self.shapes is not None:
+            d = permutations.lds_length(x) if self.perms else len(x.rows)
+            if not self.shapes(self.stat(x), d, n):
+                return False
         return self.member is None or self.member(n, lm, x)
 
     def stat(self, x) -> int:
@@ -82,30 +87,22 @@ class _Class(NamedTuple):
         validated first, so a malformed one raises ValueError."""
         if not self.perms:
             tableaux.check_tableau(x.rows)
-        return (
-            (len(x) if self.perms else x.n) == n
-            and self.passes(n, lm, x)
-            and self.stat(x) == k
-        )
+        return (len(x) if self.perms else x.n) == n and self.passes(n, lm, x) and self.stat(x) == k
 
 
 _CLASSES: dict[str, _Class] = {
     # every permutation of 1..n
-    "all_permutations": _Class(
-        "u", 12, lambda n: _permutations_of(n, None), swept=True, shape_weight=2,
-    ),
+    "all_permutations": _Class("u", 12, lambda n: _permutations_of(n, None), swept=True),
     # p with p o p = id
-    "involutions": _Class("i", 13, lambda n: involutions(n), shape_weight=1),
+    "involutions": _Class("i", 13, lambda n: involutions(n)),
     # hook tableaux of size n
     "hooks": _Class(
-        "h", 16, lambda n: tableaux.hook_tableaux(n),
-        lambda n, lm, t: tableaux.is_hook(t), perms=False,
-        per_k=lambda n, k: _hook_count(n, k),
+        "h", 16, lambda n: tableaux.hook_tableaux(n), perms=False,
+        shapes=lambda k, d, n: tableaux.hook_shape(k, d, n), per_k=lambda n, k: _hook_count(n, k),
     ),
     # (l, m)-protected tableaux; needs lm
     "protected": _Class(
-        "p", 11, lambda n: tableaux.all_standard_tableaux(n),
-        lambda n, lm, t: tableaux.is_lm_protected(t, *lm), perms=False,
+        "p", 11, None, lambda n, lm, t: tableaux.is_lm_protected(t, *lm), perms=False,
     ),
     # involutions avoiding 321
     "two_row_involutions": _Class(
@@ -115,12 +112,14 @@ _CLASSES: dict[str, _Class] = {
     # permutations avoiding 321
     "avoid321_permutations": _Class(
         "b", 12, lambda n: _permutations_of(n, None), swept=True,
-        keep=lambda k, d, n: d <= 2, per_k=lambda n, k: _two_row_count(n, k) ** 2,
+        shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n),
+        per_k=lambda n, k: _two_row_count(n, k) ** 2,
     ),
     # permutations whose insertion shape is a hook
     "hook_pair_permutations": _Class(
         "m", 12, lambda n: _permutations_of(n, None), swept=True,
-        keep=lambda k, d, n: k + d == n + 1, per_k=lambda n, k: _hook_count(n, k) ** 2,
+        shapes=lambda k, d, n: tableaux.hook_shape(k, d, n),
+        per_k=lambda n, k: _hook_count(n, k) ** 2,
     ),
     # involutions avoiding 2143 and 3412
     "skew_merged_involutions": _Class(
@@ -128,16 +127,17 @@ _CLASSES: dict[str, _Class] = {
         per_k=lambda n, k: _hook_count(n, k), total=lambda n: 2 ** (n - 1),
     ),
     # tableaux with at most two rows
-    "two_row_tableaux": _Class(None, 16, lambda n: _two_row_tableaux(n), perms=False),
+    "two_row_tableaux": _Class(
+        None, 16, None, perms=False, shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n)),
     # (2, 4)-protected tableaux of the hook-plus-box shapes
     "protected24_tableaux": _Class(
-        None, 16, lambda n: _hook_plus_box_tableaux(n),
-        lambda n, lm, t: tableaux.is_lm_protected(t, 2, 4), perms=False,
+        None, 16, None, lambda n, lm, t: tableaux.is_lm_protected(t, 2, 4), perms=False,
+        shapes=lambda k, d, n: tableaux.hook_plus_box_shape(k, d, n),
         total=lambda n: (n - 3) * 2 ** (n - 3) if n >= 4 else 0,
     ),
     # tableaux shaped like a hook plus a (2, 2) box
     "hook_plus_box_tableaux": _Class(
-        None, 16, lambda n: _hook_plus_box_tableaux(n), perms=False,
+        None, 16, None, perms=False, shapes=lambda k, d, n: tableaux.hook_plus_box_shape(k, d, n),
         total=lambda n: (n - 4) * 2 ** (n - 2) + 2 if n >= 4 else 0,
     ),
 }
@@ -269,16 +269,12 @@ def _permutations_of(n: int, first: Optional[int]) -> Iterator[Perm]:
     return map((first,).__add__, itertools.permutations(rest))
 
 
-def _two_row_tableaux(n: int) -> Iterator[Tableau]:
-    for k in range((n + 1) // 2, n + 1):
-        for path in paths.lattice_paths(n, k):
-            yield paths.path_to_tableau(path)
-
-
-def _hook_plus_box_tableaux(n: int) -> Iterator[Tableau]:
-    # Hook with one extra box at position (2, 2): shapes (k, 2, 1, 1, ...).
-    for k in range(2, n - 1):
-        yield from tableaux.standard_tableaux((k, 2) + (1,) * (n - k - 2))
+def _shaped_tableaux(shapes: Optional[Callable], n: int) -> Iterator[Tableau]:
+    """The standard tableaux of each shape of n that ``shapes`` admits (every
+    shape, without a rule), in the order of ``tableaux.partitions``."""
+    for shape in tableaux.partitions(n):
+        if shapes is None or shapes(shape[0], len(shape), n):
+            yield from tableaux.standard_tableaux(shape)
 
 
 def enumerate_class(
@@ -339,9 +335,9 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     every ordering of the remaining values.  The LDS is the LIS of the
     complement v -> n + 1 - v, so it is read from the complemented prefix's
     table, reversed: the complements' orderings come in reverse order.  A
-    class with ``keep`` counts the completions it accepts, and skips a run
-    whose prefix fails it (it holds on every prefix of a permutation it
-    keeps).
+    class with a shape rule (``shapes``) counts the completions whose
+    (LIS, LDS) it accepts, and skips a run whose prefix fails it (it holds
+    on every prefix of a permutation it keeps).
 
     The prefix is the first m = max(n - 5, 1) entries, so a given first
     entry is always in it.  The reader yields each permutation once, so the
@@ -350,7 +346,7 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     and each key counts as its table's histogram times its tally over
     (n - m)!, added once at the end.
     """
-    keep = _CLASSES[label].keep
+    rule = _CLASSES[label].shapes
     m = max(n - 5, 1)
     top = n + 1
     tables: dict[tuple[int, ...], list[int]] = {}
@@ -368,20 +364,20 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     for prefix, run in itertools.groupby(_permutations_of(n, first), itemgetter(slice(m))):
         rest = [v for v in range(1, top) if v not in prefix]
         key = lis_key(prefix, rest)
-        if keep is not None:
+        if rule is not None:
             down = lis_key([top - x for x in prefix], [top - x for x in reversed(rest)])
-            if not keep(key[0], down[0], m):
+            if not rule(key[0], down[0], m):
                 continue
             key = key, down
         whole[key] += len(list(run))
     full = factorial(n - m)
     counts: Counter = Counter()
     for key, times in whole.items():
-        if keep is None:
+        if rule is None:
             table = tables[key]
         else:
             up, down = key
-            table = [k for k, d in zip(tables[up], reversed(tables[down])) if keep(k, d, n)]
+            table = [k for k, d in zip(tables[up], reversed(tables[down])) if rule(k, d, n)]
         for k, c in Counter(table).items():
             counts[k] += c * times // full
     return counts
@@ -465,12 +461,14 @@ def count_standard_tableaux(shape: tuple[int, ...]) -> int:
 
 
 def _shape_class(label: str) -> tuple[str, int]:
-    """Canonical label and shape weight of a class that shapes can count."""
+    """Canonical label and shape weight of a permutation row with neither a
+    shape rule nor a filter: 2 for a row swept over S_n, whose permutations
+    row-insert to two tableaux of one shape, else 1 (involutions, one)."""
     canonical = resolve_label(label)
-    weight = _CLASSES[canonical].shape_weight
-    if weight is None:
+    row = _CLASSES[canonical]
+    if not row.perms or row.shapes is not None or row.member is not None:
         raise ValueError(f"--method shapes is not available for {label!r}")
-    return canonical, weight
+    return canonical, 2 if row.swept else 1
 
 
 def counts_by_shape(label: str, n: int) -> ClassSequence:

@@ -34,10 +34,10 @@ from .paths import flip_inject, path_to_tableau, tableau_to_path
 from .permutations import Perm
 from .tableaux import (
     Tableau,
-    _surplus_bounded,
     attach_surplus,
     check_tableau,
     hook_from_first_row,
+    is_hook,
     protected_decompose,
     rsk,
     rsk_inverse,
@@ -155,8 +155,8 @@ def hook_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     k, l = len(rows1[0]), len(rows2[0])
     if l < k + 2:
         raise ValueError(f"first rows of lengths {k} and {l} are less than 2 apart")
-    for rows, t, name in ((rows1, t1, "t1"), (rows2, t2, "t2")):
-        if len(rows) > 1 and len(rows[1]) != 1:  # as in is_hook
+    for t, name in ((t1, "t1"), (t2, "t2")):
+        if not is_hook(t):
             raise ValueError(f"{name} is not a hook: {t}")
     r1, r2 = _inject_rows(n, rows1[0], rows2[0])
     return hook_from_first_row(n, r1), hook_from_first_row(n, r2)
@@ -183,7 +183,7 @@ def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     decs = (protected_decompose(t1), protected_decompose(t2))
     l, m = decs[0].l, decs[0].m
     for t, name, dec in zip((t1, t2), ("t1", "t2"), decs):
-        if (dec.l, dec.m) != (l, m) or not _surplus_bounded(dec):
+        if not dec.is_protected(l, m):
             raise ValueError(f"{name} is not ({l}, {m})-protected: {t}")
 
     # Every surplus entry exceeds the corner's 1, so 1 stays at the corner.

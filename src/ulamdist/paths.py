@@ -10,10 +10,10 @@ entries as east-step positions.
 Validation happens where paths enter: the public constructor
 ``LatticePath(steps)`` and :func:`parse_path` run :func:`check_path`, and
 the flip check of :mod:`ulamdist.census` runs it on every distinct image
-path of a block.  The builders here (:func:`lattice_paths`,
-:func:`tableau_to_path`, :func:`flip_inject`) produce sub-diagonal paths by
-construction and build through the unchecked ``_path``; :func:`flip_preimage`
-runs the check on its un-flipped candidates, which need not be paths.
+path of a block.  The builders here (:func:`tableau_to_path`, which
+:func:`lattice_paths` maps over two-row tableaux, and :func:`flip_inject`)
+build sub-diagonal paths by construction, through the unchecked ``_path``;
+:func:`flip_preimage` checks its un-flipped candidates, which need not be paths.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterator, Optional
 
-from .tableaux import Tableau, _tableau
+from .tableaux import Tableau, _tableau, standard_tableaux
 
 # Height above the diagonal gained by each step.
 _RISE = {"E": 1, "N": -1}
@@ -75,24 +75,11 @@ def parse_path(text: str) -> LatticePath:
 
 
 def lattice_paths(n: int, k: int) -> Iterator[LatticePath]:
-    """All paths in L(n, k); empty if n - k > k or k > n."""
+    """All paths in L(n, k), in lexicographic order (E before N), read off
+    the tableaux of shape (k, n - k); empty if n - k > k or k > n."""
     if k > n or n - k > k or n < 1:
-        return
-
-    def rec(prefix: list[str], east: int, north: int) -> Iterator[LatticePath]:
-        if east + north == n:
-            yield _path("".join(prefix))
-            return
-        if east < k:
-            prefix.append("E")
-            yield from rec(prefix, east + 1, north)
-            prefix.pop()
-        if north < n - k and north < east:
-            prefix.append("N")
-            yield from rec(prefix, east, north + 1)
-            prefix.pop()
-
-    yield from rec([], 0, 0)
+        return iter(())
+    return map(tableau_to_path, standard_tableaux((k, n - k) if k < n else (k,)))
 
 
 def tableau_to_path(t: Tableau) -> LatticePath:

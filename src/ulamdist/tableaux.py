@@ -175,16 +175,15 @@ class HookType(Enum):
 
 
 def is_hook(t: Tableau) -> bool:
-    """A hook consists of exactly one row and one column; row lengths weakly
-    decrease, so the second row decides."""
+    """Whether t has a :func:`hook_shape`; rows weakly decrease, so the second decides."""
     rows = t.rows
     return len(rows) == 1 or len(rows[1]) == 1
 
 
 def hook_type(t: Tableau) -> HookType:
-    rows = t.rows
-    if len(rows) > 1 and len(rows[1]) != 1:  # as in is_hook
+    if not is_hook(t):
         raise ValueError(f"not a hook: {t}")
+    rows = t.rows
     n = len(rows[0]) + len(rows) - 1  # one row and one column
     if n < 2:
         raise ValueError("hook type is undefined for a single box")
@@ -211,7 +210,24 @@ def hook_tableaux(n: int, k: int | None = None) -> Iterator[Tableau]:
 
 
 # ---------------------------------------------------------------------------
-# Shape and tableau generation
+# Shape rules and generation.  A rule tests a shape by its first-row length k,
+# first-column length d and size n; by Schensted's theorem, a permutation's
+# insertion shape has first row its LIS and first column its LDS.
+
+
+def hook_shape(k: int, d: int, n: int) -> bool:
+    """One row and one column: every cell lies in the first row or column."""
+    return k + d == n + 1
+
+
+def two_row_shape(k: int, d: int, n: int) -> bool:
+    """At most two rows."""
+    return d <= 2
+
+
+def hook_plus_box_shape(k: int, d: int, n: int) -> bool:
+    """One cell off the first row and column, at (2, 2): shape (k, 2, 1^j)."""
+    return k + d == n
 
 
 def partitions(n: int) -> Iterator[Shape]:
@@ -280,11 +296,6 @@ def standard_tableaux(shape: Sequence[int]) -> Iterator[Tableau]:
     yield from rec(1)
 
 
-def all_standard_tableaux(n: int) -> Iterator[Tableau]:
-    for shape in partitions(n):
-        yield from standard_tableaux(shape)
-
-
 # ---------------------------------------------------------------------------
 # Protected area and surplus
 
@@ -320,6 +331,11 @@ class ProtectedDecomposition:
     def d(self) -> int:
         """Last first-column entry of the protected area."""
         return self.protected_rows[-1][0]
+
+    def is_protected(self, l: int, m: int) -> bool:
+        """Whether the tableau is (l, m)-protected, as :func:`is_lm_protected` states."""
+        bound = max(self.c, self.d)
+        return self.l == l and self.m == m and all(v > bound for v in self.eastern + self.southern)
 
 
 def protected_decompose(t: Tableau) -> ProtectedDecomposition:
@@ -364,12 +380,4 @@ def is_lm_protected(t: Tableau, l: int, m: int) -> bool:
     """True iff the protected area of t has m cells with l in its first row
     and every surplus entry exceeds every entry in the protected area's
     first row and first column (vacuously true for empty surpluses)."""
-    dec = protected_decompose(t)
-    return dec.l == l and dec.m == m and _surplus_bounded(dec)
-
-
-def _surplus_bounded(dec: ProtectedDecomposition) -> bool:
-    """Whether every surplus entry exceeds every entry in the protected
-    area's first row and first column."""
-    bound = max(dec.c, dec.d)
-    return all(v > bound for v in dec.eastern + dec.southern)
+    return protected_decompose(t).is_protected(l, m)

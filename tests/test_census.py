@@ -28,6 +28,7 @@ from ulamdist.census import (
     verify_injection,
 )
 from ulamdist.permutations import is_involution, lds_length, lis_length
+from ulamdist.tableaux import rsk
 
 INVOLUTION_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76, 7: 232}
 
@@ -163,8 +164,77 @@ def test_every_row_of_the_class_table_against_enumeration(label):
             assert [closed_form(label, n, k) for k in range(n + 2)] == [stats[k] for k in range(n + 2)]
         if row.total is not None:
             assert closed_form(label, n) == len(members)
-        if row.shape_weight is not None:
+        if label in ("all_permutations", "involutions"):
             assert census.counts_by_shape(label, n) == seq
+
+
+# Each shape family by its own definition, on the row lengths of a shape.
+_SHAPE_FAMILIES = {
+    "hook": lambda shape: all(r == 1 for r in shape[1:]),
+    "two rows": lambda shape: len(shape) <= 2,
+    "hook plus box": lambda shape: shape[1:2] == (2,) and all(r == 1 for r in shape[2:]),
+}
+_FAMILY_OF_ROW = {
+    "hooks": "hook", "hook_pair_permutations": "hook",
+    "avoid321_permutations": "two rows", "two_row_tableaux": "two rows",
+    "protected24_tableaux": "hook plus box", "hook_plus_box_tableaux": "hook plus box",
+}
+
+
+def _all_standard_tableaux(n):
+    return [t for shape in tableaux.partitions(n) for t in tableaux.standard_tableaux(shape)]
+
+
+@pytest.mark.parametrize("label", sorted(_FAMILY_OF_ROW))
+def test_each_shape_rule_keeps_exactly_its_shape_family(label):
+    # Every row with a shape rule, against the candidates of its base whose
+    # insertion shape (rsk's P for a permutation) the family's own
+    # definition admits, then the row's filter, if any.
+    row = census._CLASSES[label]
+    assert {name for name, r in census._CLASSES.items() if r.shapes is not None} == set(_FAMILY_OF_ROW)
+    family = _SHAPE_FAMILIES[_FAMILY_OF_ROW[label]]
+    for n in range(1, min(row.cap, 8) + 1):
+        if row.perms:
+            candidates = [(p, rsk(p)[0].shape) for p in itertools.permutations(range(1, n + 1))]
+        else:
+            candidates = [(t, t.shape) for t in _all_standard_tableaux(n)]
+        expect = [x for x, shape in candidates
+                  if family(shape) and (row.member is None or row.member(n, None, x))]
+        members = list(enumerate_class(label, n))
+        if row.base is None:
+            # Generated tableaux come shape by shape, in partition order.
+            assert members == expect
+        else:
+            assert Counter(members) == Counter(expect)
+
+
+def test_the_hook_test_is_the_hook_rule():
+    for n in range(1, 9):
+        for t in _all_standard_tableaux(n):
+            assert tableaux.is_hook(t) == tableaux.hook_shape(len(t.rows[0]), len(t.rows), t.n)
+
+
+def test_protected_enumerates_every_shape_in_partition_order():
+    for n in range(1, 8):
+        for lm in ((1, 1), (2, 4), (2, 3)):
+            if lm[1] <= n:
+                expect = [t for t in _all_standard_tableaux(n) if tableaux.is_lm_protected(t, *lm)]
+                assert list(enumerate_class("protected", n, lm=lm)) == expect
+
+
+@pytest.mark.parametrize("label", sorted(census._CLASSES))
+def test_shape_sums_serve_all_permutations_and_involutions_only(label):
+    # Row insertion gives a permutation two tableaux of one shape and an
+    # involution one; every other row has a shape rule or a filter.
+    weights = {"all_permutations": 2, "involutions": 1}
+    for name in filter(None, (label, census._CLASSES[label].alias)):
+        if label in weights:
+            assert census._shape_class(name) == (label, weights[label])
+        else:
+            with pytest.raises(ValueError, match=f"^--method shapes is not available for {name!r}$"):
+                counts_by_shape(name, 5)
+    if label in weights:
+        assert counts_by_shape(label, 5).total == {2: 120, 1: 26}[weights[label]]
 
 
 SWEEP_LABELS = ["all_permutations", "avoid321_permutations", "hook_pair_permutations"]

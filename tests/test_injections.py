@@ -223,10 +223,10 @@ class TestProtectedInject:
         assert str(exc.value) == message
 
     def test_11_protected_are_exactly_the_hooks(self):
-        from ulamdist.tableaux import all_standard_tableaux, is_hook
+        from ulamdist.tableaux import is_hook, partitions, standard_tableaux
 
         for n in range(1, 7):
-            for t in all_standard_tableaux(n):
+            for t in itertools.chain.from_iterable(map(standard_tableaux, partitions(n))):
                 assert is_lm_protected(t, 1, 1) == is_hook(t)
 
     def test_exhaustive_at_stated_sizes(self):

@@ -1,10 +1,12 @@
 import itertools
+from typing import Iterator
 
 import pytest
 
 from ulamdist.census import closed_form
 from ulamdist.paths import (
     LatticePath,
+    _path,
     flip_inject,
     flip_preimage,
     lattice_paths,
@@ -37,6 +39,33 @@ class TestLatticePath:
 
     def test_generation_empty_below_diagonal_bound(self):
         assert list(lattice_paths(4, 1)) == []
+
+    def test_generation_matches_the_step_recursion_in_order(self):
+        # Flip reports its witnesses in this order.
+        for n in range(1, 15):
+            for k in range(-1, n + 2):
+                assert list(lattice_paths(n, k)) == list(_lattice_paths_reference(n, k))
+
+
+def _lattice_paths_reference(n: int, k: int) -> Iterator[LatticePath]:
+    """All paths in L(n, k); empty if n - k > k or k > n."""
+    if k > n or n - k > k or n < 1:
+        return
+
+    def rec(prefix: list[str], east: int, north: int) -> Iterator[LatticePath]:
+        if east + north == n:
+            yield _path("".join(prefix))
+            return
+        if east < k:
+            prefix.append("E")
+            yield from rec(prefix, east + 1, north)
+            prefix.pop()
+        if north < n - k and north < east:
+            prefix.append("N")
+            yield from rec(prefix, east, north + 1)
+            prefix.pop()
+
+    yield from rec([], 0, 0)
 
 
 class TestPathTableauBijection:

@@ -8,7 +8,6 @@ from ulamdist.permutations import inverse, is_involution, lis_length
 from ulamdist.tableaux import (
     HookType,
     Tableau,
-    all_standard_tableaux,
     attach_surplus,
     format_tableau,
     hook_from_first_row,
@@ -219,7 +218,7 @@ class TestGeneration:
     def test_total_matches_involutions(self):
         # tableaux of size n are counted by involutions of length n
         for n, expect in [(4, 10), (5, 26), (6, 76)]:
-            assert sum(1 for _ in all_standard_tableaux(n)) == expect
+            assert sum(1 for s in partitions(n) for _ in standard_tableaux(s)) == expect
 
 
 class TestProtectedDecomposition:
@@ -256,7 +255,7 @@ class TestProtectedDecomposition:
 
     def test_round_trip_all_small_tableaux(self):
         for n in range(1, 9):
-            for t in all_standard_tableaux(n):
+            for t in itertools.chain.from_iterable(map(standard_tableaux, partitions(n))):
                 dec = protected_decompose(t)
                 assert attach_surplus(dec.protected_rows, dec.eastern, dec.southern) == t
 
