@@ -11,8 +11,8 @@ about them live in one table, ``_CLASSES``.
 Enumeration is capped per label; the ``ULAM_BUDGET`` environment variable
 raises or lowers the caps (a bare integer applies to every label, or a
 comma-separated list like ``all_permutations=13,involutions=12``).
-Permutation sweeps partition deterministically by first entry, so they can
-fan out over processes; serial and parallel runs give identical counts.
+Permutation sweeps read each prefix once and split first entries among
+worker processes; serial and parallel runs give identical counts.
 The process pool is imported only when a sweep fans out, so no other
 command pays for loading ``multiprocessing`` at start-up.
 """
@@ -26,8 +26,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
-from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from operator import add, sub
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional
 
 from . import injections, paths, permutations, tableaux
 from .permutations import Perm
@@ -44,10 +44,10 @@ class _Class(NamedTuple):
     The members of size n are ``base(n)`` (with no base, the standard
     tableaux of the shapes of n the rule admits) where ``passes`` holds: the
     rule ``shapes(k, d, n)`` on the first row k and column d of the insertion
-    shape (a permutation's LIS and LDS), then the filter ``member(n, lm, x)``,
+    shape (a permutation's LIS and LDS), then the filter ``member(lm, x)``,
     each if any; ``contains`` tests a candidate, such as an injection's image,
-    against the same rules.  A swept class filters all of S_n and is counted
-    by ``_sweep_counts``, which ``jobs`` fans out; its rule holds on every
+    against the same rules.  ``_sweep_counts`` counts a swept class over S_n
+    prefix by prefix, and ``jobs`` fans it out; its rule holds on every
     prefix of a permutation it keeps.  ``per_k(n, k)`` and ``total(n)`` are
     closed forms.  Every callable looks its helpers up when called, so
     patching or rebinding a module-level name reaches it.
@@ -56,7 +56,7 @@ class _Class(NamedTuple):
     alias: Optional[str]
     cap: int
     base: Optional[Callable[[int], Iterator]]
-    member: Optional[Callable[[int, Optional[tuple[int, int]], object], bool]] = None
+    member: Optional[Callable[[Optional[tuple[int, int]], object], bool]] = None
     perms: bool = True
     swept: bool = False
     shapes: Optional[Callable[[int, int, int], bool]] = None
@@ -68,7 +68,7 @@ class _Class(NamedTuple):
             return (x for x in self.base(n) if self.passes(n, lm, x))
         # Generated shape by shape, so the rule holds; only the filter is left.
         made = _shaped_tableaux(self.shapes, n)
-        return made if self.member is None else (t for t in made if self.member(n, lm, t))
+        return made if self.member is None else (t for t in made if self.member(lm, t))
 
     def passes(self, n: int, lm: Optional[tuple[int, int]], x) -> bool:
         """Whether a candidate of size n passes the row's shape rule, then its filter."""
@@ -76,7 +76,7 @@ class _Class(NamedTuple):
             d = permutations.lds_length(x) if self.perms else len(x.rows)
             if not self.shapes(self.stat(x), d, n):
                 return False
-        return self.member is None or self.member(n, lm, x)
+        return self.member is None or self.member(lm, x)
 
     def stat(self, x) -> int:
         """LIS length of a permutation, first-row length of a tableau."""
@@ -92,7 +92,7 @@ class _Class(NamedTuple):
 
 _CLASSES: dict[str, _Class] = {
     # every permutation of 1..n
-    "all_permutations": _Class("u", 12, lambda n: _permutations_of(n, None), swept=True),
+    "all_permutations": _Class("u", 12, lambda n: _permutations_of(n, n), swept=True),
     # p with p o p = id
     "involutions": _Class("i", 13, lambda n: involutions(n)),
     # hook tableaux of size n
@@ -102,28 +102,28 @@ _CLASSES: dict[str, _Class] = {
     ),
     # (l, m)-protected tableaux; needs lm
     "protected": _Class(
-        "p", 11, None, lambda n, lm, t: tableaux.is_lm_protected(t, *lm), perms=False,
+        "p", 11, None, lambda lm, t: tableaux.is_lm_protected(t, *lm), perms=False,
     ),
     # involutions avoiding 321
     "two_row_involutions": _Class(
-        "a", 13, lambda n: involutions(n), lambda n, lm, p: permutations.lds_length(p) <= 2,
+        "a", 13, lambda n: involutions(n), lambda lm, p: permutations.lds_length(p) <= 2,
         per_k=lambda n, k: _two_row_count(n, k),
     ),
     # permutations avoiding 321
     "avoid321_permutations": _Class(
-        "b", 12, lambda n: _permutations_of(n, None), swept=True,
+        "b", 12, lambda n: _permutations_of(n, n), swept=True,
         shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n),
         per_k=lambda n, k: _two_row_count(n, k) ** 2,
     ),
     # permutations whose insertion shape is a hook
     "hook_pair_permutations": _Class(
-        "m", 12, lambda n: _permutations_of(n, None), swept=True,
+        "m", 12, lambda n: _permutations_of(n, n), swept=True,
         shapes=lambda k, d, n: tableaux.hook_shape(k, d, n),
         per_k=lambda n, k: _hook_count(n, k) ** 2,
     ),
     # involutions avoiding 2143 and 3412
     "skew_merged_involutions": _Class(
-        None, 12, lambda n: involutions(n), lambda n, lm, p: permutations.is_skew_merged(p),
+        None, 12, lambda n: involutions(n), lambda lm, p: permutations.is_skew_merged(p),
         per_k=lambda n, k: _hook_count(n, k), total=lambda n: 2 ** (n - 1),
     ),
     # tableaux with at most two rows
@@ -131,7 +131,7 @@ _CLASSES: dict[str, _Class] = {
         None, 16, None, perms=False, shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n)),
     # (2, 4)-protected tableaux of the hook-plus-box shapes
     "protected24_tableaux": _Class(
-        None, 16, None, lambda n, lm, t: tableaux.is_lm_protected(t, 2, 4), perms=False,
+        None, 16, None, lambda lm, t: tableaux.is_lm_protected(t, 2, 4), perms=False,
         shapes=lambda k, d, n: tableaux.hook_plus_box_shape(k, d, n),
         total=lambda n: (n - 3) * 2 ** (n - 3) if n >= 4 else 0,
     ),
@@ -262,11 +262,9 @@ def involutions(n: int) -> Iterator[Perm]:
     yield from rec(1)
 
 
-def _permutations_of(n: int, first: Optional[int]) -> Iterator[Perm]:
-    if first is None:
-        return itertools.permutations(range(1, n + 1))
-    rest = [v for v in range(1, n + 1) if v != first]
-    return map((first,).__add__, itertools.permutations(rest))
+def _permutations_of(n: int, m: int) -> Iterator[Perm]:
+    """The m-entry prefixes of S_n in lexicographic order; S_n itself at m = n."""
+    return itertools.permutations(range(1, n + 1), m)
 
 
 def _shaped_tableaux(shapes: Optional[Callable], n: int) -> Iterator[Tableau]:
@@ -324,8 +322,8 @@ def _patience(tails: list[int], xs: Iterable[int]) -> list[int]:
     return tails
 
 
-def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
-    """Tight counting loop for the classes swept over all of S_n.
+def _sweep_counts(label: str, n: int, firsts: Container[int]) -> Counter:
+    """Count a swept class over the permutations with first entry in ``firsts``.
 
     LIS by patience sorting on tails padded with n + 1.  Permutations
     sharing a prefix share that prefix's tails.  A remaining value meets
@@ -336,15 +334,12 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
     complement v -> n + 1 - v, so it is read from the complemented prefix's
     table, reversed: the complements' orderings come in reverse order.  A
     class with a shape rule (``shapes``) counts the completions whose
-    (LIS, LDS) it accepts, and skips a run whose prefix fails it (it holds
-    on every prefix of a permutation it keeps).
+    (LIS, LDS) it accepts, and skips a prefix that fails it (it holds on
+    every prefix of a permutation it keeps).
 
-    The prefix is the first m = max(n - 5, 1) entries, so a given first
-    entry is always in it.  The reader yields each permutation once, so the
-    runs of one prefix hold (n - m)! permutations in all, whatever the order
-    or however they are split: each run adds its length to its key's tally,
-    and each key counts as its table's histogram times its tally over
-    (n - m)!, added once at the end.
+    The prefix is the first m = max(n - 5, 1) entries, so it holds the first
+    entry.  Each prefix is read once and tallied under its key; each key
+    counts as its table's histogram times its tally, added once at the end.
     """
     rule = _CLASSES[label].shapes
     m = max(n - 5, 1)
@@ -361,7 +356,9 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
         return key
 
     whole: Counter = Counter()
-    for prefix, run in itertools.groupby(_permutations_of(n, first), itemgetter(slice(m))):
+    for prefix in _permutations_of(n, m):
+        if prefix[0] not in firsts:
+            continue
         rest = [v for v in range(1, top) if v not in prefix]
         key = lis_key(prefix, rest)
         if rule is not None:
@@ -369,8 +366,7 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
             if not rule(key[0], down[0], m):
                 continue
             key = key, down
-        whole[key] += len(list(run))
-    full = factorial(n - m)
+        whole[key] += 1
     counts: Counter = Counter()
     for key, times in whole.items():
         if rule is None:
@@ -379,7 +375,7 @@ def _sweep_counts(label: str, n: int, first: Optional[int]) -> Counter:
             up, down = key
             table = [k for k, d in zip(tables[up], reversed(tables[down])) if rule(k, d, n)]
         for k, c in Counter(table).items():
-            counts[k] += c * times // full
+            counts[k] += c * times
     return counts
 
 
@@ -392,8 +388,8 @@ def sequence(
 ) -> ClassSequence:
     """Count class members by statistic k via exhaustive enumeration.
 
-    ``jobs`` > 1 fans a class swept over S_n out over worker processes, one
-    first-entry partition each; results are identical to a serial run.
+    ``jobs`` > 1 fans a class swept over S_n out over min(jobs, n) workers,
+    one sweep each over a share of first entries; results match a serial run.
     Other classes take no ``jobs`` above 1, and no class takes one below 1.
     """
     canonical = resolve_label(label)
@@ -409,12 +405,14 @@ def sequence(
     elif jobs and jobs > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        workers = min(jobs, n)
+        shares = [range(w, n + 1, workers) for w in range(1, workers + 1)]
         counts = Counter()
-        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
-            for part in pool.map(partial(_sweep_counts, canonical, n), range(1, n + 1)):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(partial(_sweep_counts, canonical, n), shares):
                 counts.update(part)
     else:
-        counts = _sweep_counts(canonical, n, None)
+        counts = _sweep_counts(canonical, n, range(1, n + 1))
     return _make_sequence(canonical, n, counts)
 
 

@@ -125,7 +125,10 @@ class TestSequences:
             serial = sequence(label, 6)
             parallel = sequence(label, 6, jobs=2)
             assert serial == parallel
-        # At n = 9 each first-entry part has complete runs and keep-pruned prefixes.
+            # 3 jobs split 7 first entries 3, 2, 2; 10 jobs start 7 workers.
+            for jobs in (3, 10):
+                assert sequence(label, 7, jobs=jobs) == sequence(label, 7)
+        # At n = 9 each worker's share spans several first entries and prefixes the shape rule prunes.
         for label in ("b", "m"):
             assert sequence(label, 9, jobs=2) == sequence(label, 9)
 
@@ -199,7 +202,7 @@ def test_each_shape_rule_keeps_exactly_its_shape_family(label):
         else:
             candidates = [(t, t.shape) for t in _all_standard_tableaux(n)]
         expect = [x for x, shape in candidates
-                  if family(shape) and (row.member is None or row.member(n, None, x))]
+                  if family(shape) and (row.member is None or row.member(None, x))]
         members = list(enumerate_class(label, n))
         if row.base is None:
             # Generated tableaux come shape by shape, in partition order.
@@ -262,6 +265,11 @@ def _brute_sweep(label, n, first):
     return dict(counts)
 
 
+def _share(n, first):
+    """The first entries that ``_brute_sweep`` counts for ``first``."""
+    return range(1, n + 1) if first is None else (first,)
+
+
 class TestSweepOracle:
     """The sweep loop against lis_length/lds_length over every permutation."""
 
@@ -269,63 +277,75 @@ class TestSweepOracle:
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_serial_and_each_first_entry(self, label, n):
         for first in (None, *range(1, n + 1)):
-            assert dict(census._sweep_counts(label, n, first)) == _brute_sweep(label, n, first)
+            assert dict(census._sweep_counts(label, n, _share(n, first))) == _brute_sweep(label, n, first)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_any_enumeration_order(self, label, monkeypatch):
-        # Prefix state is shared between permutations that follow each other;
-        # an order with no runs of equal prefixes must give the same counts.
-        def shuffled(n, first):
-            perms = [p for p in itertools.permutations(range(1, n + 1))
-                     if first is None or p[0] == first]
-            random.Random(n).shuffle(perms)
-            return iter(perms)
-
-        # Every other prefix of the sweep's length yields its completions in
-        # two halves, the second half moved to the front, so one sweep meets
-        # complete runs and partial runs of the same prefixes.
+        # Each prefix is tallied on its own, so shuffled prefixes must give
+        # the same counts.
         permutations_of = census._permutations_of
 
-        def split(n, first):
-            runs = [list(run) for _, run in itertools.groupby(
-                permutations_of(n, first), lambda p: p[:max(n - 5, 1)])]
-            halves = [run[len(run) // 2:] for run in runs[1::2]]
-            runs[1::2] = [run[:len(run) // 2] for run in runs[1::2]]
-            return itertools.chain(*halves, *runs)
+        def shuffled(n, m):
+            prefixes = list(permutations_of(n, m))
+            random.Random(n).shuffle(prefixes)
+            return iter(prefixes)
 
-        lengths = {len(list(run)) for _, run in itertools.groupby(split(8, None), lambda p: p[:3])}
-        assert lengths == {60, 120}
-        for reader in (shuffled, split):
-            monkeypatch.setattr(census, "_permutations_of", reader)
-            for n in range(1, 9):
-                for first in (None, *range(1, n + 1)):
-                    assert dict(census._sweep_counts(label, n, first)) == _brute_sweep(label, n, first)
+        monkeypatch.setattr(census, "_permutations_of", shuffled)
+        for n in range(1, 9):
+            for first in (None, *range(1, n + 1)):
+                assert dict(census._sweep_counts(label, n, _share(n, first))) == _brute_sweep(label, n, first)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_tables_shared_across_many_prefixes(self, label):
         # At n = 9 each first entry spans 8!/5! prefixes of four entries,
         # far more than the distinct tables they look up.
         for first in (1, 5, 9):
-            assert dict(census._sweep_counts(label, 9, first)) == _brute_sweep(label, 9, first)
+            assert dict(census._sweep_counts(label, 9, (first,))) == _brute_sweep(label, 9, first)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
-    def test_reads_every_permutation_exactly_once(self, label, monkeypatch):
+    def test_reads_every_prefix_exactly_once(self, label, monkeypatch):
+        # The sweep reads the 8!/5! prefixes of three entries, and no whole
+        # permutation; a one-entry share reads them too and skips the rest.
         read = []
         permutations_of = census._permutations_of
 
-        def recorded(n, first):
-            for p in permutations_of(n, first):
+        def recorded(n, m):
+            for p in permutations_of(n, m):
                 read.append(p)
                 yield p
 
         monkeypatch.setattr(census, "_permutations_of", recorded)
         sequence(label, 8)
-        assert len(read) == len(set(read)) == math.factorial(8)
-        for first in range(1, 9):
-            read.clear()
-            census._sweep_counts(label, 8, first)
-            assert len(read) == len(set(read)) == math.factorial(7)
-            assert {p[0] for p in read} == {first}
+        assert len(read) == len(set(read)) == 336
+        assert {len(p) for p in read} == {3}
+        read.clear()
+        census._sweep_counts(label, 8, (5,))
+        assert len(read) == len(set(read)) == 336
+
+    @pytest.mark.parametrize("label", SWEEP_LABELS)
+    def test_worker_shares_build_tables_once(self, label, monkeypatch):
+        # Two shares of first entries, as two workers sweep them, sort at
+        # most half as often again as one serial sweep; nine one-entry
+        # shares rebuild the tables per first entry and sort far more.
+        calls = 0
+        patience = census._patience
+
+        def counted(tails, xs):
+            nonlocal calls
+            calls += 1
+            return patience(tails, xs)
+
+        monkeypatch.setattr(census, "_patience", counted)
+        serial = census._sweep_counts(label, 9, range(1, 10))
+        once = calls
+        calls = 0
+        halves = census._sweep_counts(label, 9, range(1, 10, 2)) + census._sweep_counts(label, 9, range(2, 10, 2))
+        assert halves == serial
+        assert calls <= 1.5 * once
+        calls = 0
+        for first in range(1, 10):
+            census._sweep_counts(label, 9, (first,))
+        assert calls > 1.5 * once
 
     @pytest.mark.parametrize("label, most", [
         ("all_permutations", 28104), ("avoid321_permutations", 39999),
