@@ -17,6 +17,7 @@ from .census import (
 )
 from .injections import (
     hook_inject,
+    hook_preimage,
     lift,
     protected_inject,
     two_row_inject,

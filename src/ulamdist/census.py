@@ -614,7 +614,7 @@ def _check_injection(
     f: Callable,
     in_codomain: Callable,
     check: Optional[tuple[str, Callable]] = None,
-    inverse: bool = False,
+    inverse: Optional[Callable] = None,
 ) -> tuple[int, bool, bool, bool, list[str]]:
     """Apply ``f(a, b)`` to every pair of every ``(k, lefts, rights)``
     block and check each image pair (u, v), in this order; the map reads
@@ -631,11 +631,13 @@ def _check_injection(
     2. the optional named check ``(name, holds)``: ``holds(a, b, u, v)``;
     3. no earlier pair of the same block has the same image.
 
-    ``inverse`` marks the named check as a deterministic left inverse g
-    with g(f(a, b)) == (a, b).  If it holds on every pair of a block, the
-    block's (distinct) pairs have distinct images, so step 3 is skipped and
-    nothing is kept per pair.  A block where it fails on some pair is
-    checked again with step 3, and only that second pass reports.
+    ``inverse(a, b, u, v)``, if given, is a silent predicate: whether a
+    deterministic left inverse g gives g(u, v) == (a, b).  If it holds on
+    every pair of a block, the block's (distinct) pairs have distinct
+    images, so step 3 is skipped and nothing is kept per pair.  When the
+    named check is that inverse, its verdict serves both.  A block where
+    the inverse fails on some pair is checked again with step 3, and only
+    that second pass reports.
 
     Returns the number of pairs, whether the map was injective, whether
     the images lay in the codomain, whether the named check held, and the
@@ -646,7 +648,9 @@ def _check_injection(
     name, holds = check if check is not None else ("", None)
 
     def run(lefts: list, rights: list, outside: Callable, seen: Optional[dict]):
-        """One pass over a block; ``seen`` None skips the collision check."""
+        """One pass over a block.  With ``seen`` None the inverse stands in
+        for the collision check, and the pass gives up (None) at the first
+        pair where it fails."""
         injective = codomain_ok = check_ok = True
         witnesses: list[str] = []
         for a in lefts:
@@ -660,10 +664,13 @@ def _check_injection(
                 if outside(u) or outside(v):
                     codomain_ok = False
                     witnesses.append(f"codomain: ({a}, {b}) -> ({u}, {v})")
-                if holds is not None and _fails(holds, a, b, u, v):
+                held = holds is None or not _fails(holds, a, b, u, v)
+                if not held:
                     check_ok = False
                     witnesses.append(f"{name}: ({a}, {b}) -> ({u}, {v})")
                 if seen is None:
+                    if not (held if inverse is holds else not _fails(inverse, a, b, u, v)):
+                        return None
                     continue
                 pair = (a, b)
                 earlier = seen.setdefault((u, v), pair)
@@ -680,8 +687,8 @@ def _check_injection(
         domain += len(lefts) * len(rights)
         # The codomain depends on k, so a memo never outlives its block.
         outside = cache(partial(_fails, in_codomain, k))
-        block = run(lefts, rights, outside, None) if inverse else None
-        if block is None or not block[2]:
+        block = run(lefts, rights, outside, None) if inverse is not None else None
+        if block is None:
             block = run(lefts, rights, outside, {})
         injective &= block[0]
         codomain_ok &= block[1]
@@ -712,7 +719,10 @@ def verify_injection(
     with statistic j (``_Class.contains``).  Flip's is the paths of n steps
     with j east steps.  The maps build their images unchecked, so every
     distinct image of a block is validated once, and a malformed image is
-    a codomain failure.
+    a codomain failure.  Hook and flip prove each block injective by a
+    left inverse, ``injections.hook_preimage`` on first rows and the
+    preimage check's ``paths.flip_preimage``, so they keep nothing per
+    pair; protected and lift remember every pair's image.
 
     Before any enumeration, every kind checks in this order: the kind; that
     lm is given for the protected kind only; that n >= 1; that an explicit
@@ -754,13 +764,20 @@ def verify_injection(
 
         return lambda e: by_stat().get(e, []), f, partial(row.contains, n, lm)
 
+    inverse = None
     if kind == "hook":
-        ht = tableaux.hook_type
+        ht, back = tableaux.hook_type, injections.hook_preimage
+
+        def round_trips(t1, t2, u1, u2):
+            # A hook is fixed by its size and first row.
+            return back(n, u1.rows[0], u2.rows[0]) == (t1.rows[0], t2.rows[0])
+
         runs = {"": (
             sides("hooks", _hook_count, tableaux.hook_tableaux),
             injections.hook_inject, partial(_CLASSES["hooks"].contains, n, lm),
             ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (ht(t1), ht(t2))),
         )}
+        inverse = round_trips
     elif kind == "flip":
 
         def in_paths(j, r):
@@ -773,6 +790,7 @@ def verify_injection(
 
         runs = {"": (sides("two_row_tableaux", _two_row_count, paths.lattice_paths),
                      paths.flip_inject, in_paths, ("preimage", preimage))}
+        inverse = preimage
     elif kind == "protected":
         runs = {"": into("protected", injections.protected_inject,
                          enumerate_class("protected", n, lm=lm))}
@@ -792,7 +810,7 @@ def verify_injection(
         }
     # Every check has passed: only now does enumeration start.
     parts = [(prefix, _check_injection(((e + 1, side(e), side(e + 2)) for e in es), *args,
-                                       inverse=kind == "flip"))
+                                       inverse=inverse))
              for prefix, (side, *args) in runs.items()]
     check_ok = all(result[3] for _, result in parts)
     return InjectionReport(

@@ -9,6 +9,9 @@ of a hook records whether its largest entry ends the first column (DOWN)
 or the first row (RIGHT).  For l > k + 2 injectivity is all that matters
 downstream, so those maps are realized by deterministic rank arithmetic
 (:func:`_rank_inject_rows`) over the lexicographic order of hooks.
+``hook_preimage`` undoes the map on first rows, case by case, and returns
+None off its image, so a checker proves injectivity by round trips
+instead of remembering every pair.
 
 ``protected_inject`` transports the hook map to tableaux with a fixed
 protected area: the surpluses are pulled off, renumbered into a pair of
@@ -28,7 +31,7 @@ map checks only that its pair lies in its domain, and never its images.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .paths import flip_inject, path_to_tableau, tableau_to_path
 from .permutations import Perm
@@ -132,6 +135,64 @@ def _inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
         return (u1 + (n,), u2)
     u1, u2 = _inject_rows(n - 1, row1[:-1], row2[:-1])
     return (u1 + (n,), u2 + (n,))
+
+
+# The anchor tables inverted: (n, first row of U1, first row of U2) to the
+# first rows of the pair mapped there.
+_HOOK_BASE_PREIMAGE: dict[tuple[int, Row, Row], tuple[Row, Row]] = {
+    (n, *image): (row1, row2) for (n, row1, row2), image in HOOK_BASE_TABLE.items()
+}
+
+
+def _rank_preimage_rows(n: int, u1: Row, u2: Row) -> Optional[tuple[Row, Row]]:
+    """Inverse of :func:`_rank_inject_rows`: from the ranks i and j of the
+    image rows, rebuild x = i * C(n-1, l-2) + j and divmod it by
+    C(n-1, l-1); x is an image exactly when the quotient ranks a row of
+    length k."""
+    k, l = len(u1) - 1, len(u2) + 1
+    if k < 1 or l > n:
+        return None
+    i, j = divmod(
+        _hook_rank(n, u1) * comb(n - 1, l - 2) + _hook_rank(n, u2),
+        comb(n - 1, l - 1),
+    )
+    if i >= comb(n - 1, k - 1):
+        return None
+    return _hook_unrank(n, k, i), _hook_unrank(n, l, j)
+
+
+def _preimage_rows(n: int, u1: Row, u2: Row) -> Optional[tuple[Row, Row]]:
+    """:func:`_inject_rows` undone, case by case; both rows start at 1 and
+    u1 is no longer than u2."""
+    if n <= 4:
+        return _HOOK_BASE_PREIMAGE.get((n, u1, u2))
+    if len(u2) > len(u1):
+        return _rank_preimage_rows(n, u1, u2)
+    # A gap of 2 maps to equal lengths, and whether each image row ends in n
+    # names the case of _inject_rows that made it.
+    right1 = u1[-1] == n
+    right2 = u2[-1] == n
+    if not right1 and right2:
+        return (u2[:-1], u1 + (n,))
+    if not right1 and not right2:
+        return _preimage_rows(n - 1, u1, u2)
+    back = _preimage_rows(n - 1, u1[:-1], u2[:-1] if right2 else u2)
+    if back is None:
+        return None
+    return (back[0] + (n,), back[1] + (n,) if right2 else back[1])
+
+
+def hook_preimage(n: int, row1: Row, row2: Row) -> Optional[tuple[Row, Row]]:
+    """The first rows of the pair of hooks of size n that the hook map sends
+    to the pair with first rows (row1, row2), or None if no pair is sent
+    there.  The exact inverse of the map on the first rows of hooks; no
+    ``Tableau`` is built.  An empty row, a row not starting at 1, a row
+    longer than n or a first row longer than the second gives None; other
+    malformed rows give None, ValueError or a pair that does not map back.
+    """
+    if row1[:1] != (1,) or row2[:1] != (1,) or not len(row1) <= len(row2) <= n:
+        return None
+    return _preimage_rows(n, row1, row2)
 
 
 def _size(rows1: tuple[Row, ...], rows2: tuple[Row, ...]) -> int:

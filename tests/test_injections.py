@@ -7,8 +7,10 @@ from ulamdist.injections import (
     HOOK_BASE_TABLE,
     _comb_rank,
     _comb_unrank,
+    _inject_rows,
     _rank_inject_rows,
     hook_inject,
+    hook_preimage,
     lift,
     protected_inject,
     two_row_inject,
@@ -151,6 +153,60 @@ class TestRankInjection:
                 for rank, sub in enumerate(subs):
                     assert _comb_rank(sub, m) == rank
                     assert _comb_unrank(rank, m, r) == sub
+
+
+def hook_rows(n):
+    """The first row of every hook of size n."""
+    return [(1,) + c for r in range(n) for c in itertools.combinations(range(2, n + 1), r)]
+
+
+class TestHookPreimage:
+    def test_round_trips_every_pair(self):
+        for n in range(1, 10):
+            pairs = 0
+            for r1, r2 in itertools.product(hook_rows(n), repeat=2):
+                if len(r2) >= len(r1) + 2:
+                    assert hook_preimage(n, *_inject_rows(n, r1, r2)) == (r1, r2)
+                    pairs += 1
+        assert pairs == 14_893
+
+    def test_exact_on_first_rows(self):
+        # None exactly off the image, and every preimage maps back.
+        for n in range(1, 9):
+            rows = hook_rows(n)
+            images = {
+                _inject_rows(n, r1, r2)
+                for r1, r2 in itertools.product(rows, repeat=2)
+                if len(r2) >= len(r1) + 2
+            }
+            for u in itertools.product(rows, repeat=2):
+                back = hook_preimage(n, *u)
+                assert (back is not None) == (u in images), (n, u)
+                if back is not None:
+                    assert _inject_rows(n, *back) == u
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_garbage_gives_none_or_value_error(self, n):
+        # Rows that are no image's: empty, not starting at 1, longer than n,
+        # in the wrong length order; and the pairs a map that returns its
+        # input hands the check, whose second row may be all of 1..n.
+        valid = hook_rows(n)
+        bad = [(), (2,), (0, 1), (2, 3), tuple(range(1, n + 2)), tuple(range(2, n + 3))]
+        wrong_order = [(r1, r2) for r1, r2 in itertools.product(valid, repeat=2)
+                       if len(r1) > len(r2)]
+        cases = [*itertools.product(bad, valid + bad), *itertools.product(valid, bad),
+                 *wrong_order]
+        for u in cases:
+            try:
+                assert hook_preimage(n, *u) is None, (n, u)
+            except ValueError:
+                pass
+        for r1, r2 in itertools.product(valid, repeat=2):
+            if len(r2) >= len(r1) + 2:
+                try:
+                    hook_preimage(n, r1, r2)
+                except ValueError:
+                    pass
 
 
 class TestProtectedInject:
