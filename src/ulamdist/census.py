@@ -12,9 +12,9 @@ Enumeration is capped per label; the ``ULAM_BUDGET`` environment variable
 raises or lowers the caps (a bare integer applies to every label, or a
 comma-separated list like ``all_permutations=13,involutions=12``).
 Permutation sweeps read each prefix once and split first entries among
-worker processes; serial and parallel runs give identical counts.
-The process pool is imported only when a sweep fans out, so no other
-command pays for loading ``multiprocessing`` at start-up.
+forked worker processes that send their counts back over pipes; serial and
+parallel runs give identical counts.  No process pool is imported, so a
+fanned-out sweep loads no module that a serial one does not.
 """
 
 from __future__ import annotations
@@ -379,6 +379,23 @@ def _sweep_counts(label: str, n: int, firsts: Container[int]) -> Counter:
     return counts
 
 
+def _sweep_child(write: int, label: str, n: int, firsts: range) -> None:
+    """In a forked child: sweep ``firsts``, send the counts down the pipe
+    ``write`` and exit, with status 0 only if every byte was written.
+    ``os._exit`` never returns, so the child runs none of its parent's
+    cleanup: no flush of inherited buffers, no atexit handler."""
+    import marshal
+
+    code = 1
+    try:
+        data = memoryview(marshal.dumps(dict(_sweep_counts(label, n, firsts))))
+        while data:
+            data = data[os.write(write, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def sequence(
     label: str,
     n: int,
@@ -388,8 +405,11 @@ def sequence(
 ) -> ClassSequence:
     """Count class members by statistic k via exhaustive enumeration.
 
-    ``jobs`` > 1 fans a class swept over S_n out over min(jobs, n) workers,
-    one sweep each over a share of first entries; results match a serial run.
+    ``jobs`` > 1 splits a class swept over S_n into min(jobs, n) shares of
+    first entries.  The calling process sweeps one share and forks a child
+    for each other, which sends its counts back over a pipe; every child is
+    reaped, and one that fails makes the call raise.  Results match a serial
+    run, which is what ``jobs`` gives where ``os.fork`` does not exist.
     Other classes take no ``jobs`` above 1, and no class takes one below 1.
     """
     canonical = resolve_label(label)
@@ -402,15 +422,38 @@ def sequence(
         raise ValueError(f"jobs > 1 needs a class swept over S_n ({swept}), not {canonical!r}")
     if not row.swept:
         counts = Counter(map(row.stat, row.members(n, lm)))
-    elif jobs and jobs > 1 and n > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    elif jobs and jobs > 1 and n > 1 and hasattr(os, "fork"):
+        import marshal
+        import signal
 
         workers = min(jobs, n)
         shares = [range(w, n + 1, workers) for w in range(1, workers + 1)]
-        counts = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(partial(_sweep_counts, canonical, n), shares):
-                counts.update(part)
+        readers, pids = [], []
+        try:
+            for share in shares[1:]:
+                read, write = os.pipe()
+                readers.append(open(read, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _sweep_child(write, canonical, n, share)
+                finally:
+                    os.close(write)
+                pids.append(pid)
+            counts = _sweep_counts(canonical, n, shares[0])
+            parts = [reader.read() for reader in readers]
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for reader in readers:
+                reader.close()
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if any(codes) or not all(parts):
+            raise RuntimeError(f"a sweep worker failed: exit codes {codes}")
+        for part in parts:
+            counts.update(marshal.loads(part))
     else:
         counts = _sweep_counts(canonical, n, range(1, n + 1))
     return _make_sequence(canonical, n, counts)

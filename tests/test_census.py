@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -132,6 +133,33 @@ class TestSequences:
         # At n = 9 each worker's share spans several first entries and prefixes the shape rule prunes.
         for label in ("b", "m"):
             assert sequence(label, 9, jobs=2) == sequence(label, 9)
+
+    @pytest.mark.parametrize("in_parent, error", [(False, RuntimeError), (True, KeyboardInterrupt)],
+                             ids=["child", "parent"])
+    def test_a_failing_share_raises_and_leaves_no_child(self, monkeypatch, in_parent, error):
+        # The calling process sweeps the share holding first entry 1; forked children sweep the others.
+        sweep = census._sweep_counts
+
+        def failing(label, n, firsts):
+            if (1 in firsts) == in_parent:
+                raise KeyboardInterrupt
+            return sweep(label, n, firsts)
+
+        monkeypatch.setattr(census, "_sweep_counts", failing)
+        with pytest.raises(error):
+            sequence("u", 6, jobs=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_jobs_runs_serially(self, monkeypatch):
+        serial = {label: sequence(label, 7) for label in ("u", "b", "m")}
+        shares = []
+        sweep = census._sweep_counts
+        monkeypatch.setattr(census, "_sweep_counts", lambda *a: shares.append(a[2]) or sweep(*a))
+        monkeypatch.delattr(os, "fork")
+        for label, seq in serial.items():
+            assert sequence(label, 7, jobs=3) == seq
+        assert shares == [range(1, 8)] * 3
 
     def test_protected_sequence(self):
         seq = sequence("protected", 6, lm=(2, 4))

@@ -193,13 +193,15 @@ class TestSequence:
         assert code == 0 and parallel == serial
 
     def test_jobs_2_in_a_fresh_interpreter_prints_the_serial_bytes(self, capsys):
-        # A new process, where nothing has loaded the pool beforehand.
+        # A new process, where nothing has loaded a process pool beforehand; forking loads none.
         argv = ["sequence", "--class", "u", "--n", "6"]
         _, serial, _ = run(capsys, *argv)
-        parallel = run_fresh(
-            f"import sys\nfrom ulamdist import cli\nsys.exit(cli.main({argv + ['--jobs', '2']!r}))"
+        out = run_fresh(
+            "import sys\nfrom ulamdist import cli\n"
+            f"assert cli.main({argv + ['--jobs', '2']!r}) == 0\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
         )
-        assert parallel == serial
+        assert out == serial + "[]\n"
 
 
 class TestVerify:
