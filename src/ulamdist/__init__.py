@@ -20,6 +20,7 @@ from .injections import (
     hook_preimage,
     lift,
     protected_inject,
+    protected_preimage,
     two_row_inject,
 )
 from .paths import (

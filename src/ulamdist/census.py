@@ -23,7 +23,6 @@ import itertools
 import os
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import cache, partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
 from operator import add, sub
@@ -291,8 +290,7 @@ def enumerate_class(
 # Sequences
 
 
-@dataclass(frozen=True)
-class ClassSequence:
+class ClassSequence(NamedTuple):
     """One triangle row: counts by statistic k for a class at fixed n.
 
     ``counts`` runs in ascending k over every k from the least to the
@@ -574,8 +572,7 @@ def closed_form(label: str, n: int, k: Optional[int] = None) -> int:
 # Log-concavity
 
 
-@dataclass(frozen=True)
-class LogConcavityReport:
+class LogConcavityReport(NamedTuple):
     label: str
     n: int
     holds: bool
@@ -617,8 +614,7 @@ def verify_conjecture(n_max: int, jobs: Optional[int] = None) -> list[LogConcavi
 # Injection verification
 
 
-@dataclass(frozen=True)
-class InjectionReport:
+class InjectionReport(NamedTuple):
     kind: str
     n: int
     k: Optional[int]
@@ -639,7 +635,7 @@ class InjectionReport:
         )
 
     def to_json(self) -> dict:
-        data = asdict(self)
+        data = self._asdict()
         witnesses = data.pop("witnesses")
         return {**data, "ok": self.ok, "witnesses": list(witnesses)}
 
@@ -675,8 +671,9 @@ def _check_injection(
     3. no earlier pair of the same block has the same image.
 
     ``inverse(a, b, u, v)``, if given, is a silent predicate: whether a
-    deterministic left inverse g gives g(u, v) == (a, b).  If it holds on
-    every pair of a block, the block's (distinct) pairs have distinct
+    deterministic left inverse g gives g(u, v) == (a, b), compared on what
+    fixes each member (a tableau's rows, a hook's first row).  If it holds
+    on every pair of a block, the block's (distinct) pairs have distinct
     images, so step 3 is skipped and nothing is kept per pair.  When the
     named check is that inverse, its verdict serves both.  A block where
     the inverse fails on some pair is checked again with step 3, and only
@@ -762,10 +759,11 @@ def verify_injection(
     with statistic j (``_Class.contains``).  Flip's is the paths of n steps
     with j east steps.  The maps build their images unchecked, so every
     distinct image of a block is validated once, and a malformed image is
-    a codomain failure.  Hook and flip prove each block injective by a
-    left inverse, ``injections.hook_preimage`` on first rows and the
-    preimage check's ``paths.flip_preimage``, so they keep nothing per
-    pair; protected and lift remember every pair's image.
+    a codomain failure.  Hook, flip and protected prove each block
+    injective by a left inverse, ``injections.hook_preimage`` on first rows,
+    the preimage check's ``paths.flip_preimage`` and
+    ``injections.protected_preimage`` on rows, so they keep nothing per
+    pair; only lift remembers every pair's image.
 
     Before any enumeration, every kind checks in this order: the kind; that
     lm is given for the protected kind only; that n >= 1; that an explicit
@@ -835,8 +833,14 @@ def verify_injection(
                      paths.flip_inject, in_paths, ("preimage", preimage))}
         inverse = preimage
     elif kind == "protected":
+        back = injections.protected_preimage
+
+        def round_trips(t1, t2, u1, u2):
+            return back(u1, u2) == (t1.rows, t2.rows)
+
         runs = {"": into("protected", injections.protected_inject,
                          enumerate_class("protected", n, lm=lm))}
+        inverse = round_trips
     else:
         # Each shape-rigid class at size n with its tableau injection, every
         # witness labelled with its class.  lift validates each distinct
@@ -871,8 +875,7 @@ def verify_injection(
 # Closed forms versus brute force
 
 
-@dataclass(frozen=True)
-class FormulaReport:
+class FormulaReport(NamedTuple):
     name: str
     n_max: int
     ok: bool

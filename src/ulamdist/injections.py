@@ -16,12 +16,16 @@ instead of remembering every pair.
 ``protected_inject`` transports the hook map to tableaux with a fixed
 protected area: the surpluses are pulled off, renumbered into a pair of
 hooks, mapped, renumbered back, and reattached, never touching the
-protected area.
+protected area.  ``protected_preimage`` runs the same pipeline with
+``hook_preimage`` in place of the hook map, so protected pairs round-trip
+too.
 
 ``lift`` turns any injection on single tableaux (standing for involutions)
 into an injection on permutation pairs via row insertion, provided the
 tableau class is shape-rigid, i.e. the shape of a member is determined by
 its size and first-row length; hooks and two-row tableaux both qualify.
+It has no inverse here: undoing it would row-insert both images, so a
+checker remembers every lift pair instead.
 
 Every map takes only the pair it maps, ``f(t1, t2)``.  The size, both
 first-row lengths and the protected area are read off the tableaux, so a
@@ -30,12 +34,14 @@ map checks only that its pair lies in its domain, and never its images.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from math import comb
 from typing import Callable, Optional, Sequence
 
 from .paths import flip_inject, path_to_tableau, tableau_to_path
 from .permutations import Perm
 from .tableaux import (
+    ProtectedDecomposition,
     Tableau,
     attach_surplus,
     check_tableau,
@@ -47,6 +53,7 @@ from .tableaux import (
 )
 
 Row = tuple[int, ...]
+Rows = tuple[Row, ...]
 
 # Anchor tables for hook sizes 3 and 4, keyed by (n, first row of T1,
 # first row of T2).  These are fixed data, not derived: the recursion for
@@ -227,6 +234,31 @@ def hook_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
 # Tableaux with a fixed protected area
 
 
+def _through_hooks(
+    decs: tuple[ProtectedDecomposition, ProtectedDecomposition],
+    hook_map: Callable[[int, Row, Row], Optional[tuple[Row, Row]]],
+) -> Optional[tuple[Tableau, Tableau]]:
+    """The pipeline both protected maps share, on two decompositions whose
+    surpluses have one size, n - m.  Each surplus, with the corner 1 (which
+    every surplus entry exceeds), is renumbered order-isomorphically to
+    1..(n - m + 1), its eastern part becoming the first row of a hook of
+    that size; ``hook_map`` maps the two rows, and each new row is
+    renumbered back with its own tableau's entries and reattached to the
+    untouched protected area.  None where ``hook_map`` gives None."""
+    surpluses = [sorted(dec.eastern + dec.southern) for dec in decs]
+    rows = [(1, *[surplus.index(v) + 2 for v in dec.eastern])
+            for dec, surplus in zip(decs, surpluses)]
+    mapped = hook_map(len(surpluses[0]) + 1, rows[0], rows[1])
+    if mapped is None:
+        return None
+    out = []
+    for dec, surplus, jrow in zip(decs, surpluses, mapped):
+        eastern = tuple(surplus[v - 2] for v in jrow[1:])
+        southern = tuple(filterfalse(set(eastern).__contains__, surplus))
+        out.append(attach_surplus(dec.protected_rows, eastern, southern))
+    return out[0], out[1]
+
+
 def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     """Map a pair of (l, m)-protected tableaux of size n with first-row
     lengths (k - 1, k + 1) to a pair with first-row length k, same (l, m);
@@ -237,7 +269,7 @@ def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     to 1..(n - m + 1), passed through the hook map, renumbered back using
     that input's own surplus entries, and reattached.
     """
-    n = _size(t1.rows, t2.rows)
+    _size(t1.rows, t2.rows)
     k1, k2 = len(t1.rows[0]), len(t2.rows[0])
     if k2 != k1 + 2:
         raise ValueError(f"first rows of lengths {k1} and {k2} are not 2 apart")
@@ -246,21 +278,24 @@ def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     for t, name, dec in zip((t1, t2), ("t1", "t2"), decs):
         if not dec.is_protected(l, m):
             raise ValueError(f"{name} is not ({l}, {m})-protected: {t}")
+    return _through_hooks(decs, _inject_rows)
 
-    # Every surplus entry exceeds the corner's 1, so 1 stays at the corner.
-    entry_lists = [(1,) + tuple(sorted(dec.eastern + dec.southern)) for dec in decs]
-    rows = []
-    for dec, entries in zip(decs, entry_lists):
-        relabel = {v: i for i, v in enumerate(entries, start=1)}
-        rows.append((1,) + tuple(relabel[v] for v in dec.eastern))
-    j1, j2 = _inject_rows(n - m + 1, rows[0], rows[1])
 
-    out = []
-    for dec, entries, jrow in zip(decs, entry_lists, (j1, j2)):
-        new_eastern = tuple(entries[v - 1] for v in jrow[1:])
-        new_southern = tuple(sorted(set(entries[1:]) - set(new_eastern)))
-        out.append(attach_surplus(dec.protected_rows, new_eastern, new_southern))
-    return out[0], out[1]
+def protected_preimage(u1: Tableau, u2: Tableau) -> Optional[tuple[Rows, Rows]]:
+    """The rows of the pair that :func:`protected_inject` sends to (u1, u2),
+    or None if no pair of (l, m)-protected tableaux is sent there.  The map
+    keeps each protected area and surplus entry set, so
+    :func:`hook_preimage` undoes it on the surpluses alone, at size
+    n - m + 1.  Off the image, any pair of nonempty rows of integers gives
+    None or a pair that does not map back, never an error."""
+    if not (u1.rows and u2.rows and all(u1.rows) and all(u2.rows)):
+        return None
+    decs = (protected_decompose(u1), protected_decompose(u2))
+    (_, e1, s1), (_, e2, s2) = decs
+    if len(e1) + len(s1) != len(e2) + len(s2):  # both surpluses renumber into one hook size
+        return None
+    back = _through_hooks(decs, hook_preimage)
+    return None if back is None else (back[0].rows, back[1].rows)
 
 
 # ---------------------------------------------------------------------------

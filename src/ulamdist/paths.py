@@ -18,7 +18,6 @@ build sub-diagonal paths by construction, through the unchecked ``_path``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import Iterator, Optional
@@ -44,12 +43,42 @@ def check_path(steps: str) -> None:
         raise ValueError(f"invalid step {rest[0]!r} in {steps!r}")
 
 
-@dataclass(frozen=True)
 class LatticePath:
+    """A sub-diagonal lattice path.  An immutable value on its one field,
+    ``steps``, like :class:`~ulamdist.tableaux.Tableau`; public
+    construction validates through ``self.__post_init__``."""
+
+    __slots__ = ("steps",)
     steps: str
+
+    def __init__(self, steps: str):
+        object.__setattr__(self, "steps", steps)
+        self.__post_init__()
 
     def __post_init__(self):
         check_path(self.steps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.steps,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(steps={self.steps!r})"
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the unchecked builder, as a
+        # frozen dataclass restores its fields without validating them.
+        return _path, (self.steps,)
 
     @property
     def n(self) -> int:

@@ -21,11 +21,10 @@ comma-separated, e.g. ``"1,3/2"``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, filterfalse
 from operator import ge, lt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .permutations import Perm
 
@@ -58,15 +57,45 @@ def check_tableau(rows: Sequence[Sequence[int]]) -> None:
             raise ValueError(f"column {c + 1} is not strictly increasing")
 
 
-@dataclass(frozen=True)
 class Tableau:
     """A standard Young tableau: strictly increasing rows and columns filled
-    with 1..n exactly once, row lengths weakly decreasing."""
+    with 1..n exactly once, row lengths weakly decreasing.
 
+    An immutable value on its one field, ``rows``: equal only to a Tableau
+    with equal rows, hashed as ``hash((rows,))``.  Public construction
+    validates through ``self.__post_init__``."""
+
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         check_tableau(self.rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rows={self.rows!r})"
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the unchecked builder, as a
+        # frozen dataclass restores its fields without validating them.
+        return _tableau, (self.rows,)
 
     @property
     def n(self) -> int:
@@ -300,8 +329,7 @@ def standard_tableaux(shape: Sequence[int]) -> Iterator[Tableau]:
 # Protected area and surplus
 
 
-@dataclass(frozen=True)
-class ProtectedDecomposition:
+class ProtectedDecomposition(NamedTuple):
     """Split of a tableau into a residual core (the protected area) plus the
     entries removed from the end of the first row (eastern surplus) and the
     bottom of the first column (southern surplus).
@@ -320,7 +348,7 @@ class ProtectedDecomposition:
 
     @property
     def m(self) -> int:
-        return sum(len(row) for row in self.protected_rows)
+        return sum(map(len, self.protected_rows))
 
     @property
     def c(self) -> int:
@@ -356,7 +384,7 @@ def protected_decompose(t: Tableau) -> ProtectedDecomposition:
     j = len(rows)
     while j > 1 and len(rows[j - 1]) == 1:
         j -= 1
-    southern = tuple(rows[i][0] for i in range(j, len(rows)))
+    southern = tuple(chain.from_iterable(rows[j:]))
     core = (rows[0][:keep],) + rows[1:j]
     return ProtectedDecomposition(core, eastern, southern)
 
@@ -371,7 +399,7 @@ def attach_surplus(
     rows = (
         (protected_rows[0] + tuple(eastern),)
         + protected_rows[1:]
-        + tuple((v,) for v in southern)
+        + tuple(zip(southern))
     )
     return _tableau(rows)
 

@@ -1238,9 +1238,10 @@ def test_hook_and_flip_build_each_statistic_once(kind, n, module, builder, calls
 
 
 def test_protected_decomposes_each_tableau_once_per_use(monkeypatch):
-    # 764 standard tableaux filtered, two inputs for each of the 2,800
-    # pairs, and 140 distinct images checked: the map reuses its own
-    # decompositions for the protectedness test.
+    # 764 standard tableaux filtered, two inputs and two images for each
+    # of the 2,800 pairs (the map, then its inverse), and 140 distinct
+    # images checked: the map reuses its own decompositions for the
+    # protectedness test.
     calls = 0
     decompose = tableaux.protected_decompose
 
@@ -1253,7 +1254,7 @@ def test_protected_decomposes_each_tableau_once_per_use(monkeypatch):
     monkeypatch.setattr(injections, "protected_decompose", counted)
     report = verify_injection("protected", 8, lm=(2, 4))
     assert report.ok and report.domain_size == 2800
-    assert calls == 764 + 2 * 2800 + 140 == 6504
+    assert calls == 764 + 4 * 2800 + 140 == 12104
 
 
 def test_flip_keeps_no_memory_per_pair():
@@ -1284,13 +1285,13 @@ def test_passing_hook_check_maps_each_pair_once(monkeypatch):
     assert report.ok and calls == report.domain_size == 2002
 
 
-def _hook_check_peak(n):
+def _check_peak(kind, n, **kwargs):
     # A full collection empties the interpreter's free lists, so the peak
     # does not depend on the tests run before.
     gc.collect()
     tracemalloc.start()
     try:
-        assert verify_injection("hook", n).ok
+        assert verify_injection(kind, n, **kwargs).ok
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1300,8 +1301,18 @@ def test_hook_keeps_no_memory_per_pair():
     # The domain grows fourfold from n = 9 to 10 (8,008 to 31,824 pairs),
     # the hooks held as its sides twofold.  A pair memory peaks at 3.9 MB
     # and 12.1 MB.
-    peak9, peak10 = _hook_check_peak(9), _hook_check_peak(10)
+    peak9, peak10 = _check_peak("hook", 9), _check_peak("hook", 10)
     assert peak9 < 1_000_000
+    assert peak10 < 2 * peak9
+
+
+def test_protected_keeps_no_memory_per_pair():
+    # The round trip proves each block injective.  The domain grows about
+    # sixfold from n = 9 to 10 (17,280 to 97,020 pairs); a pair memory
+    # peaks at 6.9 MB and 43 MB.
+    peak9 = _check_peak("protected", 9, lm=(2, 4))
+    peak10 = _check_peak("protected", 10, lm=(2, 4))
+    assert peak9 < 1_500_000
     assert peak10 < 2 * peak9
 
 

@@ -43,6 +43,15 @@ def test_importing_the_cli_loads_no_process_pool():
     assert loaded == "[]\n"
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, and inspect imports ast, dis and tokenize.
+    loaded = run_fresh(
+        "import sys, ulamdist.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules])"
+    )
+    assert loaded == "[]\n"
+
+
 def test_the_parser_is_built_once_and_shared(capsys):
     parser = build_parser()
     assert build_parser() is parser

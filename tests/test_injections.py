@@ -13,6 +13,7 @@ from ulamdist.injections import (
     hook_preimage,
     lift,
     protected_inject,
+    protected_preimage,
     two_row_inject,
 )
 from ulamdist.permutations import lis_length
@@ -290,6 +291,92 @@ class TestProtectedInject:
 
         assert verify_injection("protected", 9, lm=(2, 4)).ok
         assert verify_injection("protected", 10, lm=(1, 1)).ok
+
+
+def protected_by_k(n, lm):
+    """The (l, m)-protected tableaux of size n, by first-row length; none
+    below size m."""
+    by_k = {}
+    for t in enumerate_class("protected", n, lm=lm) if lm[1] <= n else ():
+        by_k.setdefault(len(t.rows[0]), []).append(t)
+    return by_k
+
+
+def maps_back(back, u1, u2):
+    """Whether the pair with rows ``back`` is sent to (u1, u2)."""
+    try:
+        images = protected_inject(_tableau(back[0]), _tableau(back[1]))
+    except ValueError:
+        return False
+    return (images[0].rows, images[1].rows) == (u1.rows, u2.rows)
+
+
+class TestProtectedPreimage:
+    # Each lm that the kernel's oracle runs check; (2, 3) and (3, 5) have
+    # no members, since a protected area's first row is as long as its
+    # second.
+    LMS = {(1, 1): 10_660, (2, 4): 20_500, (2, 3): 0, (3, 5): 0}
+
+    @pytest.mark.parametrize("lm", sorted(LMS))
+    def test_round_trips_every_pair(self, lm):
+        pairs = 0
+        for n in range(1, 10):
+            by_k = protected_by_k(n, lm)
+            for k in by_k:
+                for t1, t2 in itertools.product(by_k[k], by_k.get(k + 2, [])):
+                    u1, u2 = protected_inject(t1, t2)
+                    assert protected_preimage(u1, u2) == (t1.rows, t2.rows)
+                    pairs += 1
+        assert pairs == self.LMS[lm]
+
+    @pytest.mark.parametrize("lm", [(1, 1), (2, 4)])
+    def test_exact_on_the_codomain(self, lm):
+        # None exactly off the image among pairs with equal first rows, and
+        # every preimage maps back.
+        for n in range(1, 10):
+            by_k = protected_by_k(n, lm)
+            for k, side in by_k.items():
+                images = {
+                    tuple(u.rows for u in protected_inject(t1, t2))
+                    for t1, t2 in itertools.product(by_k.get(k - 1, []), by_k.get(k + 1, []))
+                }
+                for u1, u2 in itertools.product(side, repeat=2):
+                    back = protected_preimage(u1, u2)
+                    assert (back is not None) == ((u1.rows, u2.rows) in images), (u1, u2)
+                    assert back is None or maps_back(back, u1, u2)
+
+    def test_inputs_handed_back_do_not_map_back(self):
+        # The pairs that a map returning its input hands the check.
+        for n in range(1, 10):
+            by_k = protected_by_k(n, (2, 4))
+            for k in by_k:
+                for t1, t2 in itertools.product(by_k[k], by_k.get(k + 2, [])):
+                    back = protected_preimage(t1, t2)
+                    assert back is None or not maps_back(back, t1, t2)
+
+    @pytest.mark.parametrize("rows1, rows2", [
+        ((), ((1, 2), (3, 4))),
+        (((1, 2), (3, 4)), ((),)),
+        (((1, 2), (), (3,)), ((1, 2), (3, 4))),
+        # Sizes 5 and 6, and hooks of sizes 5 and 4.
+        (((1, 2, 5), (3, 4)), ((1, 2, 5), (3, 4), (6,))),
+        (((1, 2, 3), (4,), (5,)), ((1, 2, 3, 4),)),
+        # Eastern surplus not increasing, or repeated.
+        (((1, 2, 6, 5), (3, 4)), ((1, 2, 5, 6), (3, 4))),
+        (((1, 2, 5, 5), (3, 4)), ((1, 2, 5, 6), (3, 4))),
+        # A surplus entry shared by both surpluses, or below the area.
+        (((1, 2, 5), (3, 4), (5,)), ((1, 2, 6), (3, 4), (5,))),
+        (((1, 2, 0), (3, 4), (7,)), ((1, 2, 5), (3, 4), (6,))),
+        # Protected in every respect but standardness: 7 sits above 6.
+        (((1, 2, 5), (3, 4), (7,), (6,)), ((1, 2, 5), (3, 4), (7,), (6,))),
+        # Areas of different l.
+        (((1, 2, 5), (3, 4), (6,)), ((1, 4, 6), (2,), (3,), (5,))),
+    ], ids=["empty", "empty-row", "empty-middle-row", "sizes", "hook-sizes", "unsorted",
+            "repeated", "shared", "below-area", "unstandard", "mixed-l"])
+    def test_malformed_rows_give_none_or_do_not_map_back(self, rows1, rows2):
+        u1, u2 = _tableau(rows1), _tableau(rows2)
+        back = protected_preimage(u1, u2)
+        assert back is None or not maps_back(back, u1, u2)
 
 
 class TestLift:

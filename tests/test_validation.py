@@ -6,14 +6,18 @@ construction.  These exhaustive runs are the oracle for that claim: each
 output must pass ``check_tableau`` or ``check_path``.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from ulamdist.census import enumerate_class
 from ulamdist.injections import protected_inject
 from ulamdist.paths import (
+    LatticePath,
     _last_crossing,
+    _path,
     check_path,
     flip_inject,
     lattice_paths,
@@ -21,12 +25,44 @@ from ulamdist.paths import (
     tableau_to_path,
 )
 from ulamdist.tableaux import (
+    Tableau,
+    _tableau,
     check_tableau,
     hook_tableaux,
     partitions,
     rsk,
     standard_tableaux,
 )
+
+
+@pytest.mark.parametrize("cls, build, field, value, other, bad", [
+    (Tableau, _tableau, "rows", ((1, 3), (2,)), ((1, 2), (3,)), ((2, 1),)),
+    (LatticePath, _path, "steps", "EEN", "ENE", "NE"),
+], ids=["Tableau", "LatticePath"])
+def test_values_compare_hash_and_show_by_their_field(cls, build, field, value, other, bad,
+                                                     monkeypatch):
+    x = cls(value)
+    assert x == cls(value) == build(value) and x != cls(other)
+    # Equal only to the same class: never to the field or a tuple of it.
+    assert x != value and x != (value,) and not isinstance(x, tuple)
+    assert hash(x) == hash(build(value)) == hash((value,))
+    assert repr(x) == f"{cls.__name__}({field}={value!r})"
+    for attempt in (lambda: setattr(x, field, other), lambda: setattr(x, "extra", 1),
+                    lambda: delattr(x, field)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert getattr(x, field) == value
+    assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
+    # Public construction validates through self.__post_init__, which a
+    # tracer may replace on the class; the unchecked builder skips it.
+    checked = []
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: (checked.append(self), post_init(self)))
+    assert cls(value) == x and checked == [x]
+    build(bad)
+    assert checked == [x]
+    with pytest.raises(ValueError):
+        cls(bad)
 
 
 def test_rsk_tableaux_are_standard():
