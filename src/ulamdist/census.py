@@ -11,17 +11,16 @@ about them live in one table, ``_CLASSES``.
 Enumeration is capped per label; the ``ULAM_BUDGET`` environment variable
 raises or lowers the caps (a bare integer applies to every label, or a
 comma-separated list like ``all_permutations=13,involutions=12``).
-Permutation sweeps read each prefix once and split first entries among
-forked worker processes that send their counts back over pipes; serial and
-parallel runs give identical counts.  No process pool is imported, so a
-fanned-out sweep loads no module that a serial one does not.
+Permutation sweeps count S_n over patience-sorting states and split first
+entries among forked worker processes that send their counts back over
+pipes; serial and parallel runs give identical counts.  No process pool is
+imported, so a fanned-out sweep loads no module that a serial one does not.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from bisect import bisect_left
 from collections import Counter
 from functools import cache, partial
 from math import comb, factorial, floor, lgamma, log, log10, prod
@@ -46,10 +45,10 @@ class _Class(NamedTuple):
     shape (a permutation's LIS and LDS), then the filter ``member(lm, x)``,
     each if any; ``contains`` tests a candidate, such as an injection's image,
     against the same rules.  ``_sweep_counts`` counts a swept class over S_n
-    prefix by prefix, and ``jobs`` fans it out; its rule holds on every
-    prefix of a permutation it keeps.  ``per_k(n, k)`` and ``total(n)`` are
-    closed forms.  Every callable looks its helpers up when called, so
-    patching or rebinding a module-level name reaches it.
+    by patience-sorting states, pruned by the rule, which holds on every
+    prefix of a permutation it keeps; ``jobs`` fans it out.  ``per_k(n, k)``
+    and ``total(n)`` are closed forms.  Every callable looks its helpers up
+    when called, so patching or rebinding a module-level name reaches it.
     """
 
     alias: Optional[str]
@@ -312,69 +311,68 @@ def _make_sequence(label: str, n: int, raw: Counter) -> ClassSequence:
     return ClassSequence(label, n, {k: raw.get(k, 0) for k in ks})
 
 
-def _patience(tails: list[int], xs: Iterable[int]) -> list[int]:
-    """A copy of the tails array after inserting xs by patience sorting."""
-    tails = tails[:]
-    for x in xs:
-        tails[bisect_left(tails, x)] = x
-    return tails
+def _gap_children(gaps: tuple[int, ...]) -> dict[int, tuple[tuple[int, ...], int]]:
+    """``gaps[i]`` values left lie between increasing tails i - 1 and i, the
+    last gap above every tail.  A value replaces the tail bounding its gap,
+    so the larger values of its gap move up one; in the last gap it opens a
+    tail.  Leading empty gaps are dropped: nothing enters them again."""
+    children, top = {}, len(gaps) - 1
+    for i, (g, above) in enumerate(zip(gaps, (*gaps[1:], 0))):
+        for below in range(g):
+            child = (*gaps[:i], below, g - 1 - below + above, *gaps[i + 2:])
+            while child and not child[0]:
+                child = child[1:]
+            children[len(children)] = child, int(i == top)
+    return children
+
+
+def _pair_children(rule: Callable, n: int, state: tuple) -> dict[int, tuple[tuple, int]]:
+    """t increasing and s decreasing tails; for the values x left, in
+    increasing order, a[x] increasing tails below x and d[x] decreasing
+    tails above it.  Placing v raises a[x] for every larger x with a[x] =
+    a[v], d[x] for every smaller x with d[x] = d[v], t when a[v] = t and s
+    when d[v] = s.  Placements whose state the rule rejects are left out."""
+    t, s, a, d = state
+    children = {}
+    for j, (av, dv) in enumerate(zip(a, d)):
+        up, down = t + (av == t), s + (dv == s)
+        if rule(up, down, n - len(a) + 1):
+            children[j] = (up, down, (*a[:j], *[x + (x == av) for x in a[j + 1:]]),
+                           (*[x + (x == dv) for x in d[:j]], *d[j + 1:])), up - t
+    return children
 
 
 def _sweep_counts(label: str, n: int, firsts: Container[int]) -> Counter:
     """Count a swept class over the permutations with first entry in ``firsts``.
 
-    LIS by patience sorting on tails padded with n + 1.  Permutations
-    sharing a prefix share that prefix's tails.  A remaining value meets
-    only tails and other remaining values, so a completion's LIS depends
-    only on the number of tails and each remaining value's bisect position
-    among them.  That key names a table, kept for one call, of the LIS of
-    every ordering of the remaining values.  The LDS is the LIS of the
-    complement v -> n + 1 - v, so it is read from the complemented prefix's
-    table, reversed: the complements' orderings come in reverse order.  A
-    class with a shape rule (``shapes``) counts the completions whose
-    (LIS, LDS) it accepts, and skips a prefix that fails it (it holds on
-    every prefix of a permutation it keeps).
-
-    The prefix is the first m = max(n - 5, 1) entries, so it holds the first
-    entry.  Each prefix is read once and tallied under its key; each key
-    counts as its table's histogram times its tally, added once at the end.
+    A prefix's completions depend only on its patience-sorting state, so a
+    recursion memoised for this call counts them once per state, by the
+    increasing tails they open: the LIS is the number of tails at the end.
+    ``children(state)`` maps the rank of each value left to the state after
+    placing it and the tails it opens.  A row with a shape rule also tracks
+    the decreasing tails, as many as the LDS, and its rule prunes every
+    state.  The first entries are the one-entry prefixes
+    ``_permutations_of(n, 1)`` in ``firsts``.
     """
     rule = _CLASSES[label].shapes
-    m = max(n - 5, 1)
-    top = n + 1
-    tables: dict[tuple[int, ...], list[int]] = {}
+    children, root = ((_gap_children, (n,)) if rule is None else
+                      (partial(_pair_children, cache(rule), n), (0, 0, (0,) * n, (0,) * n)))
+    memo: dict[tuple, dict[int, int]] = {}
 
-    def lis_key(prefix: Iterable[int], rest: list[int]) -> tuple[int, ...]:
-        """The key of a prefix; its table holds the LIS of its completions by ``rest``."""
-        head = _patience([top] * n, prefix)
-        key = (bisect_left(head, top), *[bisect_left(head, x) for x in rest])
-        if key not in tables:
-            tables[key] = [bisect_left(_patience(head, q), top)
-                           for q in itertools.permutations(rest)]
-        return key
+    def tally(kids: Iterable[tuple[tuple, int]], left: int) -> dict[int, int]:
+        """Orderings of what is left after each (state, tails opened) in
+        ``kids``, placed when ``left`` values were left, by tails opened."""
+        hist: dict[int, int] = {}
+        for child, opened in kids:
+            if child not in memo:
+                memo[child] = tally(children(child).values(), left - 1) if left > 1 else {0: 1}
+            for k, c in memo[child].items():
+                hist[k + opened] = hist.get(k + opened, 0) + c
+        return hist
 
-    whole: Counter = Counter()
-    for prefix in _permutations_of(n, m):
-        if prefix[0] not in firsts:
-            continue
-        rest = [v for v in range(1, top) if v not in prefix]
-        key = lis_key(prefix, rest)
-        if rule is not None:
-            down = lis_key([top - x for x in prefix], [top - x for x in reversed(rest)])
-            if not rule(key[0], down[0], m):
-                continue
-            key = key, down
-        whole[key] += 1
-    counts: Counter = Counter()
-    for key, times in whole.items():
-        if rule is None:
-            table = tables[key]
-        else:
-            up, down = key
-            table = [k for k, d in zip(tables[up], reversed(tables[down])) if rule(k, d, n)]
-        for k, c in Counter(table).items():
-            counts[k] += c * times
-    return counts
+    kids = children(root)
+    return Counter(tally([kids[v - 1] for (v,) in _permutations_of(n, 1)
+                          if v in firsts and v - 1 in kids], n))
 
 
 def _sweep_child(write: int, label: str, n: int, firsts: range) -> None:
@@ -808,6 +806,7 @@ def verify_injection(
     inverse = None
     if kind == "hook":
         ht, back = tableaux.hook_type, injections.hook_preimage
+        typed = cache(ht)  # each input member once; each image afresh
 
         def round_trips(t1, t2, u1, u2):
             # A hook is fixed by its size and first row.
@@ -816,7 +815,7 @@ def verify_injection(
         runs = {"": (
             sides("hooks", _hook_count, tableaux.hook_tableaux),
             injections.hook_inject, partial(_CLASSES["hooks"].contains, n, lm),
-            ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (ht(t1), ht(t2))),
+            ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (typed(t1), typed(t2))),
         )}
         inverse = round_trips
     elif kind == "flip":
@@ -906,7 +905,7 @@ _FORMULA_FAMILIES = (
     ("protected24_and_hook_plus_box", _PROTECTED24_MAX,
      (("protected24_tableaux", "protected24_tableaux", "protected24"),
       ("hook_plus_box_tableaux", "hook_plus_box_tableaux", "hook_plus_box"))),
-    ("hook_pair_squares", 8, (("hook_pair_permutations", "hook_pair_permutations", None),)),
+    ("hook_pair_squares", 12, (("hook_pair_permutations", "hook_pair_permutations", None),)),
 )
 
 

@@ -130,7 +130,7 @@ class TestSequences:
             # 3 jobs split 7 first entries 3, 2, 2; 10 jobs start 7 workers.
             for jobs in (3, 10):
                 assert sequence(label, 7, jobs=jobs) == sequence(label, 7)
-        # At n = 9 each worker's share spans several first entries and prefixes the shape rule prunes.
+        # At n = 9 each worker's share spans several first entries and states the shape rule prunes.
         for label in ("b", "m"):
             assert sequence(label, 9, jobs=2) == sequence(label, 9)
 
@@ -270,6 +270,9 @@ def test_shape_sums_serve_all_permutations_and_involutions_only(label):
 
 
 SWEEP_LABELS = ["all_permutations", "avoid321_permutations", "hook_pair_permutations"]
+# States each swept class expands at n = 9, the root included.
+STATES_AT_9 = [("all_permutations", 511), ("avoid321_permutations", 1699),
+               ("hook_pair_permutations", 3589)]
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +302,29 @@ def _share(n, first):
     return range(1, n + 1) if first is None else (first,)
 
 
+def _closed_row(label, n):
+    """A swept row without its zeros, from the shape sum (u) or the squared
+    closed form (b, m)."""
+    if label == "all_permutations":
+        return {k: c for k, c in counts_by_shape(label, n).counts.items() if c}
+    count = census._two_row_count if label == "avoid321_permutations" else census._hook_count
+    return {k: count(n, k) ** 2 for k in range(1, n + 1) if count(n, k)}
+
+
+def _record_expansions(monkeypatch):
+    """Patch the sweep's transitions to record each state they expand."""
+    expanded = []
+    for name in ("_gap_children", "_pair_children"):
+        children = getattr(census, name)
+
+        def recorded(*args, children=children):
+            expanded.append(args[-1])
+            return children(*args)
+
+        monkeypatch.setattr(census, name, recorded)
+    return expanded
+
+
 class TestSweepOracle:
     """The sweep loop against lis_length/lds_length over every permutation."""
 
@@ -310,8 +336,8 @@ class TestSweepOracle:
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_any_enumeration_order(self, label, monkeypatch):
-        # Each prefix is tallied on its own, so shuffled prefixes must give
-        # the same counts.
+        # The first entries are read off _permutations_of(n, 1), so shuffled
+        # ones must give the same counts.
         permutations_of = census._permutations_of
 
         def shuffled(n, m):
@@ -325,16 +351,20 @@ class TestSweepOracle:
                 assert dict(census._sweep_counts(label, n, _share(n, first))) == _brute_sweep(label, n, first)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
-    def test_tables_shared_across_many_prefixes(self, label):
-        # At n = 9 each first entry spans 8!/5! prefixes of four entries,
-        # far more than the distinct tables they look up.
+    def test_tables_shared_across_many_prefixes(self, label, monkeypatch):
+        # At n = 9 each first entry leads 8! permutations through one memo,
+        # which expands each state once, and fewer states than the 8!/4!
+        # prefixes of five entries alone.
+        expanded = _record_expansions(monkeypatch)
         for first in (1, 5, 9):
+            expanded.clear()
             assert dict(census._sweep_counts(label, 9, (first,))) == _brute_sweep(label, 9, first)
+            assert len(expanded) == len(set(expanded)) < math.perm(8, 4)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_reads_every_prefix_exactly_once(self, label, monkeypatch):
-        # The sweep reads the 8!/5! prefixes of three entries, and no whole
-        # permutation; a one-entry share reads them too and skips the rest.
+        # The sweep reads the n one-entry prefixes, and no longer one; a
+        # one-entry share reads them too and skips the rest.
         read = []
         permutations_of = census._permutations_of
 
@@ -345,57 +375,72 @@ class TestSweepOracle:
 
         monkeypatch.setattr(census, "_permutations_of", recorded)
         sequence(label, 8)
-        assert len(read) == len(set(read)) == 336
-        assert {len(p) for p in read} == {3}
+        assert read == [(v,) for v in range(1, 9)]
         read.clear()
-        census._sweep_counts(label, 8, (5,))
-        assert len(read) == len(set(read)) == 336
+        assert dict(census._sweep_counts(label, 8, (5,))) == _brute_sweep(label, 8, 5)
+        assert read == [(v,) for v in range(1, 9)]
+
+    @pytest.mark.parametrize("label", SWEEP_LABELS)
+    def test_expands_each_state_once(self, label, monkeypatch):
+        # Every row to n = 12 equals the shape sum (u) or the squared closed
+        # form (b, m).  u's memo holds 2^n states: 2^n - 1 expanded and the
+        # empty one.
+        expanded = _record_expansions(monkeypatch)
+        for n in range(1, 13):
+            expanded.clear()
+            assert dict(census._sweep_counts(label, n, range(1, n + 1))) == _closed_row(label, n)
+            assert len(expanded) == len(set(expanded))
+            if label == "all_permutations":
+                assert len(expanded) == 2 ** n - 1
+
+    @pytest.mark.parametrize("label, states", STATES_AT_9)
+    def test_no_memo_outlives_its_call(self, label, states, monkeypatch):
+        # u expands gap counts, 2^9 - 1 of them; b and m expand states of
+        # increasing and decreasing tails together, only those their rule
+        # admits.  A second call expands every state again, however often
+        # the class was swept before.
+        expanded = _record_expansions(monkeypatch)
+        first = census._sweep_counts(label, 9, range(1, 10))
+        once = len(expanded)
+        expanded.clear()
+        assert census._sweep_counts(label, 9, range(1, 10)) == first
+        assert dict(first) == _closed_row(label, 9)
+        assert len(expanded) == once == states
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_worker_shares_build_tables_once(self, label, monkeypatch):
-        # Two shares of first entries, as two workers sweep them, sort at
-        # most half as often again as one serial sweep; nine one-entry
-        # shares rebuild the tables per first entry and sort far more.
-        calls = 0
-        patience = census._patience
-
-        def counted(tails, xs):
-            nonlocal calls
-            calls += 1
-            return patience(tails, xs)
-
-        monkeypatch.setattr(census, "_patience", counted)
+        # Two shares of first entries, as two workers sweep them, sum to
+        # the serial counts.  Each share's memo serves all its first
+        # entries, so it expands fewer states than their one-entry shares.
+        expanded = _record_expansions(monkeypatch)
         serial = census._sweep_counts(label, 9, range(1, 10))
-        once = calls
-        calls = 0
-        halves = census._sweep_counts(label, 9, range(1, 10, 2)) + census._sweep_counts(label, 9, range(2, 10, 2))
+        halves = Counter()
+        for share in (range(1, 10, 2), range(2, 10, 2)):
+            expanded.clear()
+            halves += census._sweep_counts(label, 9, share)
+            together = len(expanded)
+            expanded.clear()
+            for first in share:
+                census._sweep_counts(label, 9, (first,))
+            assert together < len(expanded)
         assert halves == serial
-        assert calls <= 1.5 * once
-        calls = 0
-        for first in range(1, 10):
-            census._sweep_counts(label, 9, (first,))
-        assert calls > 1.5 * once
+        assert dict(serial) == _brute_sweep(label, 9, None)
 
-    @pytest.mark.parametrize("label, most", [
-        ("all_permutations", 28104), ("avoid321_permutations", 39999),
-        ("hook_pair_permutations", 39999),
-    ])
-    def test_patience_sorts_per_lis_key(self, label, most, monkeypatch):
-        # u sorts the 9!/5! prefixes' tails and 209 tables of 5! orderings.
-        # b and m read the LDS off the complement's LIS tables, so they add
-        # only the complemented prefixes' tails; tables keyed by LIS and LDS
-        # together took 96,768 (b) and 160,608 (m) sorts.
-        calls = 0
-        patience = census._patience
 
-        def counted(tails, xs):
-            nonlocal calls
-            calls += 1
-            return patience(tails, xs)
 
-        monkeypatch.setattr(census, "_patience", counted)
-        sequence(label, 9)
-        assert calls <= most
+class TestSweepPastTheCap:
+    """The memo through ``sequence`` past the sizes the brute force reaches."""
+
+    def test_u_equals_the_shape_sum(self, monkeypatch):
+        monkeypatch.setenv("ULAM_BUDGET", "14")
+        for n in range(1, 15):
+            assert sequence("u", n) == counts_by_shape("u", n)
+
+    @pytest.mark.parametrize("label", SWEEP_LABELS)
+    def test_jobs_equal_serial(self, label):
+        serial = sequence(label, 10)
+        assert sequence(label, 10, jobs=2) == sequence(label, 10, jobs=3) == serial
+        assert {k: c for k, c in serial.counts.items() if c} == _closed_row(label, 10)
 
 
 class TestShapeCounts:
@@ -854,7 +899,7 @@ class TestVerifyFormulas:
             for name, n_max in [
                 ("hooks_binomial", 10), ("two_row_tableaux_count", 10),
                 ("avoid321_involutions_count", 10), ("skew_merged_binomial", 10),
-                ("protected24_and_hook_plus_box", 10), ("hook_pair_squares", 8),
+                ("protected24_and_hook_plus_box", 10), ("hook_pair_squares", 10),
                 ("protected24_ratio", 10),
             ]
         ]
@@ -1283,6 +1328,23 @@ def test_passing_hook_check_maps_each_pair_once(monkeypatch):
     monkeypatch.setattr(injections, "hook_inject", counted)
     report = verify_injection("hook", 8)
     assert report.ok and calls == report.domain_size == 2002
+
+
+def test_hook_types_each_input_once_and_each_image_per_pair(monkeypatch):
+    # The 2^7 input hooks at n = 8 are typed once each, and the two images
+    # of each of the 2,002 pairs once per pair.
+    calls = 0
+    hook_type = tableaux.hook_type
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return hook_type(t)
+
+    monkeypatch.setattr(tableaux, "hook_type", counted)
+    report = verify_injection("hook", 8)
+    assert report.ok and report.domain_size == 2002
+    assert calls == 2 ** 7 + 2 * 2002
 
 
 def _check_peak(kind, n, **kwargs):
