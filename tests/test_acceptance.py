@@ -44,14 +44,14 @@ def test_criterion_01_log_concavity_of_lis_counts_up_to_10():
     start = time.time()
     for n in range(1, 11):
         if sequence("all_permutations", n, jobs=8).counts != serial[n]:
-            failures.append(f"parallel mismatch at n={n}")
+            failures.append(f"jobs=8 mismatch at n={n}")
     parallel_elapsed = time.time() - start
 
     ok = not failures and serial_elapsed <= 600 and parallel_elapsed <= 120
     report(
         "criterion 1 (exhaustive log-concavity, n <= 10)",
         ok,
-        f"serial {serial_elapsed:.1f}s, 8-way {parallel_elapsed:.1f}s "
+        f"serial {serial_elapsed:.1f}s, jobs=8 {parallel_elapsed:.1f}s "
         f"on {os.cpu_count()} cpus, failures={failures}",
     )
 

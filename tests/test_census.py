@@ -127,39 +127,26 @@ class TestSequences:
             serial = sequence(label, 6)
             parallel = sequence(label, 6, jobs=2)
             assert serial == parallel
-            # 3 jobs split 7 first entries 3, 2, 2; 10 jobs start 7 workers.
+            # Any jobs above 1, even above n, gives the serial counts.
             for jobs in (3, 10):
                 assert sequence(label, 7, jobs=jobs) == sequence(label, 7)
-        # At n = 9 each worker's share spans several first entries and states the shape rule prunes.
+        # At n = 9 the shape rule prunes states below every first entry.
         for label in ("b", "m"):
             assert sequence(label, 9, jobs=2) == sequence(label, 9)
 
-    @pytest.mark.parametrize("in_parent, error", [(False, RuntimeError), (True, KeyboardInterrupt)],
-                             ids=["child", "parent"])
-    def test_a_failing_share_raises_and_leaves_no_child(self, monkeypatch, in_parent, error):
-        # The calling process sweeps the share holding first entry 1; forked children sweep the others.
-        sweep = census._sweep_counts
-
-        def failing(label, n, firsts):
-            if (1 in firsts) == in_parent:
-                raise KeyboardInterrupt
-            return sweep(label, n, firsts)
-
-        monkeypatch.setattr(census, "_sweep_counts", failing)
-        with pytest.raises(error):
-            sequence("u", 6, jobs=3)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_without_fork_jobs_runs_serially(self, monkeypatch):
+        # No jobs value starts a process: with fork and pipe made to raise,
+        # every swept row still equals its serial count.
         serial = {label: sequence(label, 7) for label in ("u", "b", "m")}
-        shares = []
-        sweep = census._sweep_counts
-        monkeypatch.setattr(census, "_sweep_counts", lambda *a: shares.append(a[2]) or sweep(*a))
-        monkeypatch.delattr(os, "fork")
+
+        def refused(*args):
+            raise AssertionError("sequence started a process")
+
+        monkeypatch.setattr(os, "fork", refused, raising=False)
+        monkeypatch.setattr(os, "pipe", refused)
         for label, seq in serial.items():
-            assert sequence(label, 7, jobs=3) == seq
-        assert shares == [range(1, 8)] * 3
+            for jobs in (1, 2, 3, 10):
+                assert sequence(label, 7, jobs=jobs) == seq
 
     def test_protected_sequence(self):
         seq = sequence("protected", 6, lm=(2, 4))
@@ -297,6 +284,17 @@ def _brute_sweep(label, n, first):
     return dict(counts)
 
 
+def _sweep_share(label, n, firsts):
+    """``_sweep_counts`` over the permutations with first entry in
+    ``firsts``: the sweep reads its first entries off
+    ``_permutations_of(n, 1)``, which is narrowed for the call."""
+    permutations_of = census._permutations_of
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "_permutations_of",
+                      lambda n, m: (p for p in permutations_of(n, m) if p[0] in firsts))
+        return census._sweep_counts(label, n)
+
+
 def _share(n, first):
     """The first entries that ``_brute_sweep`` counts for ``first``."""
     return range(1, n + 1) if first is None else (first,)
@@ -332,7 +330,7 @@ class TestSweepOracle:
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_serial_and_each_first_entry(self, label, n):
         for first in (None, *range(1, n + 1)):
-            assert dict(census._sweep_counts(label, n, _share(n, first))) == _brute_sweep(label, n, first)
+            assert dict(_sweep_share(label, n, _share(n, first))) == _brute_sweep(label, n, first)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_any_enumeration_order(self, label, monkeypatch):
@@ -348,7 +346,7 @@ class TestSweepOracle:
         monkeypatch.setattr(census, "_permutations_of", shuffled)
         for n in range(1, 9):
             for first in (None, *range(1, n + 1)):
-                assert dict(census._sweep_counts(label, n, _share(n, first))) == _brute_sweep(label, n, first)
+                assert dict(_sweep_share(label, n, _share(n, first))) == _brute_sweep(label, n, first)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_tables_shared_across_many_prefixes(self, label, monkeypatch):
@@ -358,13 +356,12 @@ class TestSweepOracle:
         expanded = _record_expansions(monkeypatch)
         for first in (1, 5, 9):
             expanded.clear()
-            assert dict(census._sweep_counts(label, 9, (first,))) == _brute_sweep(label, 9, first)
+            assert dict(_sweep_share(label, 9, (first,))) == _brute_sweep(label, 9, first)
             assert len(expanded) == len(set(expanded)) < math.perm(8, 4)
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_reads_every_prefix_exactly_once(self, label, monkeypatch):
-        # The sweep reads the n one-entry prefixes, and no longer one; a
-        # one-entry share reads them too and skips the rest.
+        # The sweep reads the n one-entry prefixes, and no longer one.
         read = []
         permutations_of = census._permutations_of
 
@@ -376,9 +373,6 @@ class TestSweepOracle:
         monkeypatch.setattr(census, "_permutations_of", recorded)
         sequence(label, 8)
         assert read == [(v,) for v in range(1, 9)]
-        read.clear()
-        assert dict(census._sweep_counts(label, 8, (5,))) == _brute_sweep(label, 8, 5)
-        assert read == [(v,) for v in range(1, 9)]
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_expands_each_state_once(self, label, monkeypatch):
@@ -388,7 +382,7 @@ class TestSweepOracle:
         expanded = _record_expansions(monkeypatch)
         for n in range(1, 13):
             expanded.clear()
-            assert dict(census._sweep_counts(label, n, range(1, n + 1))) == _closed_row(label, n)
+            assert dict(census._sweep_counts(label, n)) == _closed_row(label, n)
             assert len(expanded) == len(set(expanded))
             if label == "all_permutations":
                 assert len(expanded) == 2 ** n - 1
@@ -400,28 +394,29 @@ class TestSweepOracle:
         # admits.  A second call expands every state again, however often
         # the class was swept before.
         expanded = _record_expansions(monkeypatch)
-        first = census._sweep_counts(label, 9, range(1, 10))
+        first = census._sweep_counts(label, 9)
         once = len(expanded)
         expanded.clear()
-        assert census._sweep_counts(label, 9, range(1, 10)) == first
+        assert census._sweep_counts(label, 9) == first
         assert dict(first) == _closed_row(label, 9)
         assert len(expanded) == once == states
 
     @pytest.mark.parametrize("label", SWEEP_LABELS)
     def test_worker_shares_build_tables_once(self, label, monkeypatch):
-        # Two shares of first entries, as two workers sweep them, sum to
-        # the serial counts.  Each share's memo serves all its first
-        # entries, so it expands fewer states than their one-entry shares.
+        # Two shares of first entries, as two workers would sweep them, sum
+        # to the serial counts.  Each share's memo serves all its first
+        # entries, so it expands fewer states than their one-entry shares:
+        # the states shares have in common are why a split does not pay.
         expanded = _record_expansions(monkeypatch)
-        serial = census._sweep_counts(label, 9, range(1, 10))
+        serial = census._sweep_counts(label, 9)
         halves = Counter()
         for share in (range(1, 10, 2), range(2, 10, 2)):
             expanded.clear()
-            halves += census._sweep_counts(label, 9, share)
+            halves += _sweep_share(label, 9, share)
             together = len(expanded)
             expanded.clear()
             for first in share:
-                census._sweep_counts(label, 9, (first,))
+                _sweep_share(label, 9, (first,))
             assert together < len(expanded)
         assert halves == serial
         assert dict(serial) == _brute_sweep(label, 9, None)

@@ -202,7 +202,7 @@ class TestSequence:
         assert code == 0 and parallel == serial
 
     def test_jobs_2_in_a_fresh_interpreter_prints_the_serial_bytes(self, capsys):
-        # A new process, where nothing has loaded a process pool beforehand; forking loads none.
+        # A new process, where nothing has loaded a process pool beforehand; --jobs loads none.
         argv = ["sequence", "--class", "u", "--n", "6"]
         _, serial, _ = run(capsys, *argv)
         out = run_fresh(
