@@ -47,10 +47,10 @@ class _Class(NamedTuple):
     each if any; ``contains`` tests a candidate, such as an injection's image,
     against the same rules.  ``_sweep_counts`` counts a swept class over S_n
     by patience-sorting states, pruned by the rule, which holds on every
-    prefix of a permutation it keeps; it runs serially, whatever ``jobs``
-    is.  ``per_k(n, k)`` and ``total(n)`` are closed forms.  Every callable
-    looks its helpers up when called, so patching or rebinding a
-    module-level name reaches it.
+    prefix of a permutation it keeps; the module docstring says why
+    ``jobs`` does not split it.  ``per_k(n, k)`` and ``total(n)`` are closed
+    forms.  Every callable looks its helpers up when called, so patching or
+    rebinding a module-level name reaches it.
     """
 
     alias: Optional[str]
@@ -386,9 +386,8 @@ def sequence(
     """Count class members by statistic k via exhaustive enumeration.
 
     ``jobs`` is validated and nothing more: no class takes one below 1, and
-    only a class swept over S_n takes one above 1.  Every class is counted
-    serially whatever ``jobs`` is, because a split of first entries cannot
-    divide the sweep memo's states (see the module docstring).
+    only a class swept over S_n takes one above 1.  The module docstring
+    says why every class is counted serially.
     """
     canonical = resolve_label(label)
     row = _CLASSES[canonical]

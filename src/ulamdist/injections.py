@@ -336,7 +336,7 @@ def lift(
     for t in (*img_p, *img_q):
         check(t.rows)
     for left, right in (img_p, img_q):
-        if [*map(len, left.rows)] != [*map(len, right.rows)]:
+        if left.shape != right.shape:
             raise ValueError(
                 "shape rigidity violated: image components have shapes "
                 f"{left.shape} and {right.shape}"

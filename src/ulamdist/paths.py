@@ -12,8 +12,10 @@ Validation happens where paths enter: the public constructor
 the flip check of :mod:`ulamdist.census` runs it on every distinct image
 path of a block.  The builders here (:func:`tableau_to_path`, which
 :func:`lattice_paths` maps over two-row tableaux, and :func:`flip_inject`)
-build sub-diagonal paths by construction, through the unchecked ``_path``;
-:func:`flip_preimage` checks its un-flipped candidates, which need not be paths.
+build sub-diagonal paths by construction, through ``_path``, the unchecked
+builder of the frozen-value core :class:`~ulamdist.tableaux._Value` that
+``LatticePath`` shares with ``Tableau``; :func:`flip_preimage` checks its
+un-flipped candidates, which need not be paths.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterator, Optional
 
-from .tableaux import Tableau, _tableau, standard_tableaux
+from .tableaux import Tableau, _tableau, _Value, standard_tableaux
 
 # Height above the diagonal gained by each step.
 _RISE = {"E": 1, "N": -1}
@@ -43,42 +45,20 @@ def check_path(steps: str) -> None:
         raise ValueError(f"invalid step {rest[0]!r} in {steps!r}")
 
 
-class LatticePath:
-    """A sub-diagonal lattice path.  An immutable value on its one field,
-    ``steps``, like :class:`~ulamdist.tableaux.Tableau`; public
-    construction validates through ``self.__post_init__``."""
+class LatticePath(_Value):
+    """A sub-diagonal lattice path.  A :class:`~ulamdist.tableaux._Value` on
+    ``steps``, like :class:`~ulamdist.tableaux.Tableau`; public construction
+    runs :func:`check_path`."""
 
-    __slots__ = ("steps",)
-    steps: str
+    __slots__ = ()
+    _field = "steps"
+    steps: str = _Value._value
 
     def __init__(self, steps: str):
-        object.__setattr__(self, "steps", steps)
-        self.__post_init__()
+        _Value.__init__(self, steps)
 
     def __post_init__(self):
         check_path(self.steps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.steps,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(steps={self.steps!r})"
-
-    def __reduce__(self):
-        # Copies and pickles rebuild through the unchecked builder, as a
-        # frozen dataclass restores its fields without validating them.
-        return _path, (self.steps,)
 
     @property
     def n(self) -> int:
@@ -92,11 +72,8 @@ class LatticePath:
         return self.steps
 
 
-def _path(steps: str) -> LatticePath:
-    """Build a LatticePath from steps known to be valid, skipping the check."""
-    p = object.__new__(LatticePath)
-    object.__setattr__(p, "steps", steps)
-    return p
+# Builds a LatticePath from steps known to be valid, skipping the check.
+_path = LatticePath._unchecked
 
 
 def parse_path(text: str) -> LatticePath:

@@ -1,7 +1,9 @@
 """Standard Young tableaux and the row-insertion correspondence.
 
 A tableau is stored row-major as a tuple of tuples of entries.  Shapes are
-plain tuples of row lengths.
+plain tuples of row lengths.  :class:`Tableau` and
+:class:`~ulamdist.paths.LatticePath` share one frozen-value core,
+:class:`_Value`, with its one unchecked builder.
 
 Validation happens where tableaux enter: the public constructor
 ``Tableau(rows)`` and :func:`parse_tableau` run :func:`check_tableau`, the
@@ -11,8 +13,9 @@ validates its images through the validator it is given: the census gives
 it one memoised check per run.  The builders here
 (:func:`rsk`, :func:`hook_from_first_row`, :func:`standard_tableaux`,
 :func:`attach_surplus`) produce standard tableaux by construction, so they
-trust their input and build through the unchecked ``_tableau``, the way the
-arithmetic helpers of :mod:`ulamdist.permutations` trust theirs.
+trust their input and build through ``_tableau``, the core's unchecked
+builder, the way the arithmetic helpers of :mod:`ulamdist.permutations`
+trust theirs.
 
 The text form used by the CLI writes rows separated by ``/`` with entries
 comma-separated, e.g. ``"1,3/2"``.
@@ -57,23 +60,28 @@ def check_tableau(rows: Sequence[Sequence[int]]) -> None:
             raise ValueError(f"column {c + 1} is not strictly increasing")
 
 
-class Tableau:
-    """A standard Young tableau: strictly increasing rows and columns filled
-    with 1..n exactly once, row lengths weakly decreasing.
+class _Value:
+    """An immutable value on one field: the slot ``_value``, which each
+    subclass binds under its ``_field`` name and takes by that keyword in
+    its ``__init__``, so the repr ``Cls(field=...)`` rebuilds it.  Equal
+    only to the same class with an equal field, hashed as
+    ``hash((field,))``.  Construction validates through
+    ``self.__post_init__``; :meth:`_unchecked`, the one unchecked builder,
+    skips it, and copies and pickles rebuild through it, as a frozen
+    dataclass restores its fields without validating them."""
 
-    An immutable value on its one field, ``rows``: equal only to a Tableau
-    with equal rows, hashed as ``hash((rows,))``.  Public construction
-    validates through ``self.__post_init__``."""
+    __slots__ = ("_value",)
+    _field: str
 
-    __slots__ = ("rows",)
-    rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, value):
+        _set_value(self, value)
         self.__post_init__()
 
-    def __post_init__(self):
-        check_tableau(self.rows)
+    @classmethod
+    def _unchecked(cls, value):
+        self = object.__new__(cls)
+        _set_value(self, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,19 +91,36 @@ class Tableau:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.rows == other.rows
+            return self._value == other._value
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.rows,))
+        return hash((self._value,))
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(rows={self.rows!r})"
+        return f"{type(self).__qualname__}({self._field}={self._value!r})"
 
     def __reduce__(self):
-        # Copies and pickles rebuild through the unchecked builder, as a
-        # frozen dataclass restores its fields without validating them.
-        return _tableau, (self.rows,)
+        return self._unchecked, (self._value,)
+
+
+_set_value = _Value._value.__set__
+
+
+class Tableau(_Value):
+    """A standard Young tableau: strictly increasing rows and columns filled
+    with 1..n exactly once, row lengths weakly decreasing.  A :class:`_Value`
+    on ``rows``; public construction runs :func:`check_tableau`."""
+
+    __slots__ = ()
+    _field = "rows"
+    rows: tuple[tuple[int, ...], ...] = _Value._value
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        _Value.__init__(self, rows)
+
+    def __post_init__(self):
+        check_tableau(self.rows)
 
     @property
     def n(self) -> int:
@@ -109,11 +134,8 @@ class Tableau:
         return format_tableau(self)
 
 
-def _tableau(rows: tuple[tuple[int, ...], ...]) -> Tableau:
-    """Build a Tableau from rows known to be standard, skipping the check."""
-    t = object.__new__(Tableau)
-    object.__setattr__(t, "rows", rows)
-    return t
+# Builds a Tableau from rows known to be standard, skipping the check.
+_tableau = Tableau._unchecked
 
 
 def parse_tableau(text: str) -> Tableau:

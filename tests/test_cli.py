@@ -406,6 +406,11 @@ class TestRsk:
         assert code == 2
         assert "'x'" in err
 
+    def test_inverse_without_a_pair_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "rsk", "--inverse", "1,2")
+        assert (code, out) == (2, "")
+        assert err == "error: expected two tableaux separated by ';' in '1,2'\n"
+
 
 class TestInject:
     def test_hook(self, capsys):
@@ -463,6 +468,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n, code, out, err", [
+        ("3", 0, "n,k,count\n3,1,1\n3,2,4\n3,3,1\n", ""),
+        ("0", 2, "", "error: n must be >= 1, got 0\n"),
+    ])
+    def test_running_the_module_exits_with_the_code_of_main(self, n, code, out, err):
+        src = os.path.dirname(os.path.dirname(ulamdist.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ulamdist.cli", "sequence", "--class", "u", "--n", n],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------

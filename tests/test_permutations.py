@@ -117,6 +117,10 @@ class TestUlamDistance:
         with pytest.raises(ValueError):
             ulam_distance((1, 2), (1, 2, 3))
 
+    def test_empty_pair_is_rejected(self):
+        with pytest.raises(ValueError, match="requires nonempty permutations"):
+            ulam_distance((), ())
+
     def test_identity_case_equals_bfs(self):
         for n in range(1, 6):
             dist = bfs_move_distances(identity(n))
@@ -153,6 +157,10 @@ class TestBasicOps:
         for p in perms(5):
             assert compose(p, inverse(p)) == identity(5)
 
+    def test_compose_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="cannot compose lengths 2 and 3"):
+            compose((2, 1), (1, 2, 3))
+
 
 class TestPatterns:
     def test_examples(self):
@@ -162,6 +170,9 @@ class TestPatterns:
 
     def test_longer_pattern_never_contained(self):
         assert not contains_pattern((2, 1), (2, 1, 3))
+
+    def test_empty_pattern_always_contained(self):
+        assert contains_pattern((2, 1), ()) and contains_pattern((), ())
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError):

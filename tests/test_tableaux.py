@@ -158,6 +158,8 @@ class TestHooks:
         for n in range(1, 9):
             for k in range(1, n + 1):
                 assert sum(1 for _ in hook_tableaux(n, k)) == comb(n - 1, k - 1)
+            # Out of range, k = 0 included, yields nothing rather than raising.
+            assert list(hook_tableaux(n, 0)) == list(hook_tableaux(n, n + 1)) == []
 
     def test_from_first_row(self):
         t = hook_from_first_row(5, (1, 3, 4))
@@ -214,6 +216,11 @@ class TestGeneration:
     def test_standard_tableaux_counts(self):
         assert sum(1 for _ in standard_tableaux((2, 2))) == 2
         assert sum(1 for _ in standard_tableaux((3, 2))) == 5
+
+    def test_standard_tableaux_reject_a_non_partition(self):
+        with pytest.raises(ValueError) as exc:
+            next(standard_tableaux((1, 2)))
+        assert str(exc.value) == "not a partition: (1, 2)"
 
     def test_total_matches_involutions(self):
         # tableaux of size n are counted by involutions of length n

@@ -47,6 +47,10 @@ def test_values_compare_hash_and_show_by_their_field(cls, build, field, value, o
     assert x != value and x != (value,) and not isinstance(x, tuple)
     assert hash(x) == hash(build(value)) == hash((value,))
     assert repr(x) == f"{cls.__name__}({field}={value!r})"
+    # The repr is a keyword construction that rebuilds an equal value.
+    assert eval(repr(x), {cls.__name__: cls}) == cls(**{field: value}) == x
+    with pytest.raises(ValueError):
+        cls(**{field: bad})
     for attempt in (lambda: setattr(x, field, other), lambda: setattr(x, "extra", 1),
                     lambda: delattr(x, field)):
         with pytest.raises(AttributeError):
