@@ -522,8 +522,11 @@ def closed_form(label: str, n: int, k: Optional[int] = None) -> int:
 class LogConcavityReport(NamedTuple):
     label: str
     n: int
-    holds: bool
     witnesses: tuple[int, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
     def to_json(self) -> dict:
         return {
@@ -543,7 +546,7 @@ def check_log_concavity(seq: ClassSequence) -> LogConcavityReport:
     """
     c = seq.counts
     witnesses = tuple(k for k in list(c)[1:-1] if c[k - 1] * c[k + 1] > c[k] ** 2)
-    return LogConcavityReport(seq.label, seq.n, not witnesses, witnesses)
+    return LogConcavityReport(seq.label, seq.n, witnesses)
 
 
 def verify_conjecture(n_max: int, jobs: Optional[int] = None) -> list[LogConcavityReport]:
@@ -559,6 +562,9 @@ def verify_conjecture(n_max: int, jobs: Optional[int] = None) -> list[LogConcavi
 
 # ---------------------------------------------------------------------------
 # Injection verification
+
+# The kinds ``verify_injection`` checks, in the order the CLI lists them.
+_INJECTION_KINDS = ("hook", "protected", "flip", "lift")
 
 
 class InjectionReport(NamedTuple):
@@ -626,6 +632,10 @@ def _check_injection(
     the inverse fails on some pair is checked again with step 3, and only
     that second pass reports.
 
+    Each failure is recorded once, as a witness tagged "codomain" (steps 0
+    and 1), "check" (step 2) or "collision" (step 3); the three verdicts
+    are read off the tags at the end.
+
     Returns the number of pairs, whether the map was injective, whether
     the images lay in the codomain, whether the named check held, and the
     witnesses, each formatted only when a check fails.  The earlier pair of
@@ -635,26 +645,22 @@ def _check_injection(
     name, holds = check if check is not None else ("", None)
 
     def run(lefts: list, rights: list, outside: Callable, seen: Optional[dict]):
-        """One pass over a block.  With ``seen`` None the inverse stands in
-        for the collision check, and the pass gives up (None) at the first
-        pair where it fails."""
-        injective = codomain_ok = check_ok = True
-        witnesses: list[str] = []
+        """One pass over a block: its failures as (check, witness) pairs.
+        With ``seen`` None the inverse stands in for the collision check,
+        and the pass gives up (None) at the first pair where it fails."""
+        failures: list[tuple[str, str]] = []
         for a in lefts:
             for b in rights:
                 try:
                     u, v = f(a, b)
                 except ValueError as exc:
-                    codomain_ok = False
-                    witnesses.append(f"codomain: ({a}, {b}) -> error: {exc}")
+                    failures.append(("codomain", f"codomain: ({a}, {b}) -> error: {exc}"))
                     continue
                 if outside(u) or outside(v):
-                    codomain_ok = False
-                    witnesses.append(f"codomain: ({a}, {b}) -> ({u}, {v})")
+                    failures.append(("codomain", f"codomain: ({a}, {b}) -> ({u}, {v})"))
                 held = holds is None or not _fails(holds, a, b, u, v)
                 if not held:
-                    check_ok = False
-                    witnesses.append(f"{name}: ({a}, {b}) -> ({u}, {v})")
+                    failures.append(("check", f"{name}: ({a}, {b}) -> ({u}, {v})"))
                 if seen is None:
                     if not (held if inverse is holds else not _fails(inverse, a, b, u, v)):
                         return None
@@ -662,26 +668,21 @@ def _check_injection(
                 pair = (a, b)
                 earlier = seen.setdefault((u, v), pair)
                 if earlier is not pair:
-                    injective = False
                     shown = tuple(x if isinstance(x, tuple) else str(x) for x in earlier)
-                    witnesses.append(f"collision: {shown} and ({a}, {b})")
-        return injective, codomain_ok, check_ok, witnesses
+                    failures.append(("collision", f"collision: {shown} and ({a}, {b})"))
+        return failures
 
     domain = 0
-    injective = codomain_ok = check_ok = True
-    witnesses: list[str] = []
+    failures: list[tuple[str, str]] = []
     for k, lefts, rights in blocks:
         domain += len(lefts) * len(rights)
         # The codomain depends on k, so a memo never outlives its block.
         outside = cache(partial(_fails, in_codomain, k))
         block = run(lefts, rights, outside, None) if inverse is not None else None
-        if block is None:
-            block = run(lefts, rights, outside, {})
-        injective &= block[0]
-        codomain_ok &= block[1]
-        check_ok &= block[2]
-        witnesses += block[3]
-    return domain, injective, codomain_ok, check_ok, witnesses
+        failures += run(lefts, rights, outside, {}) if block is None else block
+    tags = {tag for tag, _ in failures}
+    return (domain, "collision" not in tags, "codomain" not in tags, "check" not in tags,
+            [witness for _, witness in failures])
 
 
 def verify_injection(
@@ -713,12 +714,16 @@ def verify_injection(
     pair; only lift remembers every pair's image.
 
     Before any enumeration, every kind checks in this order: the kind; that
-    lm is given for the protected kind only; that n >= 1; that an explicit
-    k lies in the kind's range; for the protected kind, the range of lm;
-    last, the budget of every class enumerated, where a refused hook or flip
-    states its number of pairs."""
-    if kind not in ("hook", "flip", "protected", "lift"):
+    each of lift_classes is "hook" or "two_row"; that lm is given for the
+    protected kind only; that n >= 1; that an explicit k lies in the kind's
+    range; for the protected kind, the range of lm; last, the budget of
+    every class enumerated, where a refused hook or flip states its number
+    of pairs."""
+    if kind not in _INJECTION_KINDS:
         raise ValueError(f"unknown injection kind {kind!r}")
+    for name in lift_classes:
+        if name not in ("hook", "two_row"):
+            raise ValueError(f"unknown lift class {name!r}")
     if kind != "protected" and lm is not None:
         raise ValueError(f"injection kind {kind!r} takes no lm parameter")
     if kind == "protected" and lm is None:
@@ -826,8 +831,11 @@ def verify_injection(
 class FormulaReport(NamedTuple):
     name: str
     n_max: int
-    ok: bool
     mismatches: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
 
     def to_json(self) -> dict:
         return {
@@ -867,16 +875,14 @@ def verify_formulas(n_max: int) -> list[FormulaReport]:
     tableaux and b_n of hook-plus-box tableaux must satisfy
     1/2 < p_n/b_n < (n-3)/(2(n-4)), compared exactly in integers."""
     _check_n(n_max)
-    counted: dict[tuple[str, int], ClassSequence] = {}
+    counted = cache(sequence)
     reports = []
     for name, largest, entries in _FORMULA_FAMILIES:
         top = min(n_max, largest)
         bad = []
         for n in range(1, top + 1):
             for label, count_label, total_name in entries:
-                if (count_label, n) not in counted:
-                    counted[count_label, n] = sequence(count_label, n)
-                seq, row = counted[count_label, n], _CLASSES[label]
+                seq, row = counted(count_label, n), _CLASSES[label]
                 checks = []
                 if row.per_k is not None:
                     checks += [
@@ -887,13 +893,13 @@ def verify_formulas(n_max: int) -> list[FormulaReport]:
                     checks.append((f"{total_name} total n={n}", row.total(n), seq.total))
                 bad += [f"{what}: formula {expect} vs count {got}"
                         for what, expect, got in checks if expect != got]
-        reports.append(FormulaReport(name, top, not bad, tuple(bad)))
+        reports.append(FormulaReport(name, top, tuple(bad)))
 
     top = min(n_max, _PROTECTED24_MAX)
     bad = []
     for n in range(5, top + 1):
-        p_n = counted["protected24_tableaux", n].total
-        b_n = counted["hook_plus_box_tableaux", n].total
+        p_n = counted("protected24_tableaux", n).total
+        b_n = counted("hook_plus_box_tableaux", n).total
         # 1/2 < p/b < (n-3)/(2(n-4)) on the enumerated totals, compared exactly
         # by cross-multiplication.  The closed forms give 2p - b = 2^(n-2) - 2
         # and (n-3)b - 2(n-4)p = 2(n-3), so both sides are strict for n >= 5.
@@ -901,6 +907,6 @@ def verify_formulas(n_max: int) -> list[FormulaReport]:
             bad.append(
                 f"ratio n={n}: p={p_n} b={b_n} outside (1/2, {n - 3}/{2 * (n - 4)})"
             )
-    reports.append(FormulaReport("protected24_ratio", top, not bad, tuple(bad)))
+    reports.append(FormulaReport("protected24_ratio", top, tuple(bad)))
 
     return reports

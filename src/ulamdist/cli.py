@@ -64,9 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_conj.add_argument("--jobs", type=int, default=None)
     v_conj.set_defaults(run=_cmd_verify_conjecture)
     v_inj = v_sub.add_parser("injection")
-    v_inj.add_argument(
-        "--kind", choices=("hook", "protected", "flip", "lift"), required=True
-    )
+    v_inj.add_argument("--kind", choices=census._INJECTION_KINDS, required=True)
     v_inj.add_argument("--n", type=int, required=True)
     v_inj.add_argument("--k", type=int, default=None)
     v_inj.add_argument("--lm", default=None)

@@ -1092,6 +1092,28 @@ def test_lift_refuses_either_class_before_lifting_any_pair(monkeypatch):
     assert verify_injection("lift", 5).domain_size == 353 and calls == 353
 
 
+def test_lift_refuses_an_unknown_class_before_lifting_any_pair(monkeypatch):
+    # A class is named whole: a misspelt name, or a bare string read letter
+    # by letter, is refused before n is checked and before any enumeration.
+    calls = Counter()
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls[real.__name__] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(census, "enumerate_class", counted(census.enumerate_class))
+    monkeypatch.setattr(injections, "lift", counted(injections.lift))
+    for classes, unknown in ((("hooks",), "hooks"), ("hook", "h")):
+        for n in (0, 5):
+            with pytest.raises(ValueError, match=f"^unknown lift class {unknown!r}$"):
+                verify_injection("lift", n, lift_classes=classes)
+    assert not calls
+    report = verify_injection("lift", 5, lift_classes=())
+    assert report.ok and report.domain_size == 0 and not calls
+
+
 class TestVerifyInjectionRanges:
     @pytest.mark.parametrize(
         "kind, n, k, lo, hi",
