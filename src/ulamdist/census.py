@@ -43,12 +43,13 @@ class _Class(NamedTuple):
     The members of size n are ``base(n)`` (with no base, the standard
     tableaux of the shapes of n the rule admits) where ``passes`` holds: the
     rule ``shapes(k, d, n)`` on the first row k and column d of the insertion
-    shape (a permutation's LIS and LDS), then the filter ``member(lm, x)``,
-    each if any; ``contains`` tests a candidate, such as an injection's image,
-    against the same rules.  ``_sweep_counts`` counts a swept class over S_n
-    by patience-sorting states, pruned by the rule, which holds on every
-    prefix of a permutation it keeps; the module docstring says why
-    ``jobs`` does not split it.  ``per_k(n, k)`` and ``total(n)`` are closed
+    shape (a permutation's LIS and LDS), then the filter ``member(x)``, each
+    if any (``_check_class`` binds protected's (l, m) into its filter);
+    ``contains`` tests a candidate, such as an injection's image, against the
+    same rules.  ``_sweep_counts`` counts a swept class over S_n by
+    patience-sorting states, pruned by the rule, which holds on every prefix
+    of a permutation it keeps; the module docstring says why ``jobs`` does
+    not split it.  ``per_k(n, k)`` and ``total(n)`` are closed
     forms.  Every callable looks its helpers up when called, so patching or
     rebinding a module-level name reaches it.
     """
@@ -56,38 +57,38 @@ class _Class(NamedTuple):
     alias: Optional[str]
     cap: int
     base: Optional[Callable[[int], Iterator]]
-    member: Optional[Callable[[Optional[tuple[int, int]], object], bool]] = None
+    member: Optional[Callable[[object], bool]] = None
     perms: bool = True
     swept: bool = False
     shapes: Optional[Callable[[int, int, int], bool]] = None
     per_k: Optional[Callable[[int, int], int]] = None
     total: Optional[Callable[[int], int]] = None
 
-    def members(self, n: int, lm: Optional[tuple[int, int]]) -> Iterator:
+    def members(self, n: int) -> Iterator:
         if self.base is not None:
-            return (x for x in self.base(n) if self.passes(n, lm, x))
+            return (x for x in self.base(n) if self.passes(n, x))
         # Generated shape by shape, so the rule holds; only the filter is left.
         made = _shaped_tableaux(self.shapes, n)
-        return made if self.member is None else (t for t in made if self.member(lm, t))
+        return made if self.member is None else (t for t in made if self.member(t))
 
-    def passes(self, n: int, lm: Optional[tuple[int, int]], x) -> bool:
+    def passes(self, n: int, x) -> bool:
         """Whether a candidate of size n passes the row's shape rule, then its filter."""
         if self.shapes is not None:
             d = permutations.lds_length(x) if self.perms else len(x.rows)
             if not self.shapes(self.stat(x), d, n):
                 return False
-        return self.member is None or self.member(lm, x)
+        return self.member is None or self.member(x)
 
     def stat(self, x) -> int:
         """LIS length of a permutation, first-row length of a tableau."""
         return permutations.lis_length(x) if self.perms else len(x.rows[0])
 
-    def contains(self, n: int, lm: Optional[tuple[int, int]], k: int, x) -> bool:
+    def contains(self, n: int, k: int, x) -> bool:
         """Whether x is a member of size n with statistic k.  A tableau is
         validated first, so a malformed one raises ValueError."""
         if not self.perms:
             tableaux.check_tableau(x.rows)
-        return (len(x) if self.perms else x.n) == n and self.passes(n, lm, x) and self.stat(x) == k
+        return (len(x) if self.perms else x.n) == n and self.passes(n, x) and self.stat(x) == k
 
 
 _CLASSES: dict[str, _Class] = {
@@ -100,13 +101,11 @@ _CLASSES: dict[str, _Class] = {
         "h", 16, lambda n: tableaux.hook_tableaux(n), perms=False,
         shapes=lambda k, d, n: tableaux.hook_shape(k, d, n), per_k=lambda n, k: _hook_count(n, k),
     ),
-    # (l, m)-protected tableaux; needs lm
-    "protected": _Class(
-        "p", 11, None, lambda lm, t: tableaux.is_lm_protected(t, *lm), perms=False,
-    ),
+    # (l, m)-protected tableaux; _check_class binds (l, m) into the filter
+    "protected": _Class("p", 11, None, perms=False),
     # involutions avoiding 321
     "two_row_involutions": _Class(
-        "a", 13, lambda n: involutions(n), lambda lm, p: permutations.lds_length(p) <= 2,
+        "a", 13, lambda n: involutions(n), lambda p: permutations.lds_length(p) <= 2,
         per_k=lambda n, k: _two_row_count(n, k),
     ),
     # permutations avoiding 321
@@ -123,7 +122,7 @@ _CLASSES: dict[str, _Class] = {
     ),
     # involutions avoiding 2143 and 3412
     "skew_merged_involutions": _Class(
-        None, 12, lambda n: involutions(n), lambda lm, p: permutations.is_skew_merged(p),
+        None, 12, lambda n: involutions(n), lambda p: permutations.is_skew_merged(p),
         per_k=lambda n, k: _hook_count(n, k), total=lambda n: 2 ** (n - 1),
     ),
     # tableaux with at most two rows
@@ -131,7 +130,7 @@ _CLASSES: dict[str, _Class] = {
         None, 16, None, perms=False, shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n)),
     # (2, 4)-protected tableaux of the hook-plus-box shapes
     "protected24_tableaux": _Class(
-        None, 16, None, lambda lm, t: tableaux.is_lm_protected(t, 2, 4), perms=False,
+        None, 16, None, lambda t: tableaux.is_lm_protected(t, 2, 4), perms=False,
         shapes=lambda k, d, n: tableaux.hook_plus_box_shape(k, d, n),
         total=lambda n: (n - 3) * 2 ** (n - 3) if n >= 4 else 0,
     ),
@@ -161,7 +160,10 @@ def enumeration_cap(label: str) -> int:
     cap = _CLASSES[canonical].cap
     for part in raw.split(","):
         name, _, value = part.partition("=")
-        name = resolve_label(name.strip())
+        try:
+            name = resolve_label(name.strip())
+        except ValueError as exc:
+            raise ValueError(f"cannot parse ULAM_BUDGET entry {part!r}: {exc}") from None
         parsed = _parse_cap(value, f"ULAM_BUDGET entry {part!r}")
         if name == canonical:
             cap = parsed
@@ -203,10 +205,9 @@ _PAIRS_N_MAX = 1000
 
 
 def _check_budget(label: str, n: int, pairs: Optional[Callable[[], int]] = None) -> None:
-    """Refuse n above the label's cap.  The refusal states the size of the
-    work refused: n! for a class swept over S_n, and ``pairs()``, the
-    domain of an injection, when given and n <= _PAIRS_N_MAX."""
-    _check_n(n)
+    """Refuse n above the label's cap; the caller checks n.  The refusal
+    states the size of the work refused: n! for a class swept over S_n, and
+    ``pairs()``, the domain of an injection, when given and n <= _PAIRS_N_MAX."""
     limit = enumeration_cap(label)
     if n > limit:
         size = ""
@@ -222,8 +223,9 @@ def _check_budget(label: str, n: int, pairs: Optional[Callable[[], int]] = None)
         )
 
 
-def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> None:
-    """Check n, then lm, then the budget: a bad lm is named before a refusal."""
+def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> _Class:
+    """Check n (for every class enumeration), then lm, then the budget: a bad
+    lm is named before a refusal.  Returns the row, protected's bound to lm."""
     _check_n(n)
     if canonical == "protected":
         if lm is None:
@@ -234,6 +236,8 @@ def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> None:
     elif lm is not None:
         raise ValueError(f"class {canonical!r} takes no lm parameter")
     _check_budget(canonical, n)
+    row = _CLASSES[canonical]
+    return row if lm is None else row._replace(member=lambda t: tableaux.is_lm_protected(t, *lm))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +286,7 @@ def enumerate_class(
     lm: Optional[tuple[int, int]] = None,
 ) -> Iterator[Perm] | Iterator[Tableau]:
     """Yield every member of a class exactly once."""
-    canonical = resolve_label(label)
-    _check_class(canonical, n, lm)
-    return _CLASSES[canonical].members(n, lm)
+    return _check_class(resolve_label(label), n, lm).members(n)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +392,14 @@ def sequence(
     says why every class is counted serially.
     """
     canonical = resolve_label(label)
-    row = _CLASSES[canonical]
-    _check_class(canonical, n, lm)
+    row = _check_class(canonical, n, lm)
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs is not None and jobs > 1 and not row.swept:
         swept = ", ".join(name for name, r in _CLASSES.items() if r.swept)
         raise ValueError(f"jobs > 1 needs a class swept over S_n ({swept}), not {canonical!r}")
     if not row.swept:
-        counts = Counter(map(row.stat, row.members(n, lm)))
+        counts = Counter(map(row.stat, row.members(n)))
     else:
         counts = _sweep_counts(canonical, n)
     return _make_sequence(canonical, n, counts)
@@ -553,6 +554,7 @@ def verify_conjecture(n_max: int, jobs: Optional[int] = None) -> list[LogConcavi
     """Log-concavity of the all-permutations triangle rows for n <= n_max,
     from exhaustive enumeration.  Budget-capped; sizes beyond the cap are
     refused rather than extrapolated."""
+    _check_n(n_max)
     _check_budget("all_permutations", n_max)
     return [
         check_log_concavity(sequence("all_permutations", n, jobs=jobs))
@@ -565,6 +567,13 @@ def verify_conjecture(n_max: int, jobs: Optional[int] = None) -> list[LogConcavi
 
 # The kinds ``verify_injection`` checks, in the order the CLI lists them.
 _INJECTION_KINDS = ("hook", "protected", "flip", "lift")
+
+# The lift kind's classes, in run order: witness prefix, permutation class, and
+# tableau injection, named so each run looks up the current ``injections`` map.
+_LIFT_CLASSES = {
+    "hook": ("hook-class ", "hook_pair_permutations", "hook_inject"),
+    "two_row": ("two-row-class ", "avoid321_permutations", "two_row_inject"),
+}
 
 
 class InjectionReport(NamedTuple):
@@ -691,7 +700,7 @@ def verify_injection(
     *,
     k: Optional[int] = None,
     lm: Optional[tuple[int, int]] = None,
-    lift_classes: tuple[str, ...] = ("hook", "two_row"),
+    lift_classes: tuple[str, ...] = tuple(_LIFT_CLASSES),
 ) -> InjectionReport:
     """Enumerate an injection's full domain and check it lands injectively
     in the declared codomain; counterexamples are reported verbatim.
@@ -714,15 +723,15 @@ def verify_injection(
     pair; only lift remembers every pair's image.
 
     Before any enumeration, every kind checks in this order: the kind; that
-    each of lift_classes is "hook" or "two_row"; that lm is given for the
-    protected kind only; that n >= 1; that an explicit k lies in the kind's
+    each of lift_classes is a key of ``_LIFT_CLASSES``; that lm is given for
+    the protected kind only; that n >= 1; that an explicit k lies in the kind's
     range; for the protected kind, the range of lm; last, the budget of
     every class enumerated, where a refused hook or flip states its number
     of pairs."""
     if kind not in _INJECTION_KINDS:
         raise ValueError(f"unknown injection kind {kind!r}")
     for name in lift_classes:
-        if name not in ("hook", "two_row"):
+        if name not in _LIFT_CLASSES:
             raise ValueError(f"unknown lift class {name!r}")
     if kind != "protected" and lm is not None:
         raise ValueError(f"injection kind {kind!r} takes no lm parameter")
@@ -742,11 +751,9 @@ def verify_injection(
         _check_budget(label, n, lambda: sum(count(n, e) * count(n, e + 2) for e in es))
         return cache(lambda e: list(build(n, e)))
 
-    def into(label: str, f: Callable, members: Iterable):
-        """The side, map and codomain of f into the class ``label``: side e
-        is the members with statistic e, grouped in enumeration order on
-        first use."""
-        row = _CLASSES[label]
+    def into(row: _Class, f: Callable, members: Iterable):
+        """Side, map and codomain of f into ``row``: side e is the members with
+        statistic e, grouped in enumeration order on first use."""
 
         @cache
         def by_stat() -> dict[int, list]:
@@ -755,7 +762,7 @@ def verify_injection(
                 groups.setdefault(row.stat(x), []).append(x)
             return groups
 
-        return lambda e: by_stat().get(e, []), f, partial(row.contains, n, lm)
+        return lambda e: by_stat().get(e, []), f, partial(row.contains, n)
 
     inverse = None
     if kind == "hook":
@@ -768,7 +775,7 @@ def verify_injection(
 
         runs = {"": (
             sides("hooks", _hook_count, tableaux.hook_tableaux),
-            injections.hook_inject, partial(_CLASSES["hooks"].contains, n, lm),
+            injections.hook_inject, partial(_CLASSES["hooks"].contains, n),
             ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (typed(t1), typed(t2))),
         )}
         inverse = round_trips
@@ -791,8 +798,8 @@ def verify_injection(
         def round_trips(t1, t2, u1, u2):
             return back(u1, u2) == (t1.rows, t2.rows)
 
-        runs = {"": into("protected", injections.protected_inject,
-                         enumerate_class("protected", n, lm=lm))}
+        row = _check_class("protected", n, lm)
+        runs = {"": into(row, injections.protected_inject, row.members(n))}
         inverse = round_trips
     else:
         # Each shape-rigid class at size n with its tableau injection, every
@@ -800,13 +807,9 @@ def verify_injection(
         # image tableau once per run, before inverting row insertion.
         check = cache(injections.check_tableau)
         runs = {
-            prefix: into(label, partial(injections.lift, inj, check=check),
-                         enumerate_class(label, n))
-            for name, prefix, label, inj in (
-                ("hook", "hook-class ", "hook_pair_permutations", injections.hook_inject),
-                ("two_row", "two-row-class ", "avoid321_permutations", injections.two_row_inject),
-            )
-            if name in lift_classes
+            prefix: into(_CLASSES[label], partial(injections.lift, getattr(injections, inj),
+                                                  check=check), enumerate_class(label, n))
+            for name, (prefix, label, inj) in _LIFT_CLASSES.items() if name in lift_classes
         }
     # Every check has passed: only now does enumeration start.
     parts = [(prefix, _check_injection(((e + 1, side(e), side(e + 2)) for e in es), *args,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -92,6 +93,18 @@ class TestBudget:
     def test_env_cap_below_one_rejected(self, monkeypatch, raw, cap):
         monkeypatch.setenv("ULAM_BUDGET", raw)
         with pytest.raises(ValueError, match=f"ULAM_BUDGET caps must be >= 1, got {cap}$"):
+            enumeration_cap("u")
+
+    @pytest.mark.parametrize("raw, part, name", [
+        ("all_permutation=13", "all_permutation=13", "all_permutation"),
+        ("13,u=5", "13", "13"),
+        ("u=5,", "", ""),
+    ])
+    def test_env_bad_label_names_the_entry(self, monkeypatch, raw, part, name):
+        # A typo in a list is the variable's fault, reported like a bad value.
+        monkeypatch.setenv("ULAM_BUDGET", raw)
+        message = f"cannot parse ULAM_BUDGET entry {part!r}: unknown class label {name!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             enumeration_cap("u")
 
     def test_verifiers_refuse_beyond_budget(self, monkeypatch):
@@ -218,7 +231,7 @@ def test_each_shape_rule_keeps_exactly_its_shape_family(label):
         else:
             candidates = [(t, t.shape) for t in _all_standard_tableaux(n)]
         expect = [x for x, shape in candidates
-                  if family(shape) and (row.member is None or row.member(None, x))]
+                  if family(shape) and (row.member is None or row.member(x))]
         members = list(enumerate_class(label, n))
         if row.base is None:
             # Generated tableaux come shape by shape, in partition order.

@@ -250,9 +250,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("n_max", ["0", "-2"])
     def test_formulas_reject_n_max_below_one(self, capsys, n_max):
-        code, out, err = run(capsys, "verify", "formulas", "--n-max", n_max)
-        assert code == 2 and out == ""
-        assert err == f"error: n must be >= 1, got {n_max}\n"
+        for command in ("formulas", "conjecture"):
+            code, out, err = run(capsys, "verify", command, "--n-max", n_max)
+            assert code == 2 and out == ""
+            assert err == f"error: n must be >= 1, got {n_max}\n"
 
     @pytest.mark.parametrize(
         "argv",
