@@ -40,10 +40,11 @@ class BudgetError(RuntimeError):
 class _Class(NamedTuple):
     """Everything the census knows about one class label.
 
-    The members of size n are ``base(n)`` (with no base, the standard
-    tableaux of the shapes of n the rule admits) where ``passes`` holds: the
-    rule ``shapes(k, d, n)`` on the first row k and column d of the insertion
-    shape (a permutation's LIS and LDS), then the filter ``member(x)``, each
+    The members of size n are the permutations ``base(n)`` (``perms``) or,
+    with no base, the tableaux of the shapes of n the rule admits in
+    ``partitions`` order, where ``passes`` holds: the rule ``shapes(k, d, n)``
+    on the first row k and column d of the insertion shape (a permutation's
+    LIS and LDS), then the filter ``member(x)``, each
     if any (``_check_class`` binds protected's (l, m) into its filter);
     ``contains`` tests a candidate, such as an injection's image, against the
     same rules.  ``_sweep_counts`` counts a swept class over S_n by
@@ -58,18 +59,18 @@ class _Class(NamedTuple):
     cap: int
     base: Optional[Callable[[int], Iterator]]
     member: Optional[Callable[[object], bool]] = None
-    perms: bool = True
     swept: bool = False
     shapes: Optional[Callable[[int, int, int], bool]] = None
     per_k: Optional[Callable[[int, int], int]] = None
     total: Optional[Callable[[int], int]] = None
 
+    @property
+    def perms(self) -> bool:
+        return self.base is not None
+
     def members(self, n: int) -> Iterator:
-        if self.base is not None:
-            return (x for x in self.base(n) if self.passes(n, x))
-        # Generated shape by shape, so the rule holds; only the filter is left.
-        made = _shaped_tableaux(self.shapes, n)
-        return made if self.member is None else (t for t in made if self.member(t))
+        made = self.base(n) if self.perms else _shaped_tableaux(self.shapes, n)
+        return (x for x in made if self.passes(n, x))
 
     def passes(self, n: int, x) -> bool:
         """Whether a candidate of size n passes the row's shape rule, then its filter."""
@@ -98,11 +99,11 @@ _CLASSES: dict[str, _Class] = {
     "involutions": _Class("i", 13, lambda n: involutions(n)),
     # hook tableaux of size n
     "hooks": _Class(
-        "h", 16, lambda n: tableaux.hook_tableaux(n), perms=False,
-        shapes=lambda k, d, n: tableaux.hook_shape(k, d, n), per_k=lambda n, k: _hook_count(n, k),
+        "h", 16, None, shapes=lambda k, d, n: tableaux.hook_shape(k, d, n),
+        per_k=lambda n, k: _hook_count(n, k),
     ),
     # (l, m)-protected tableaux; _check_class binds (l, m) into the filter
-    "protected": _Class("p", 11, None, perms=False),
+    "protected": _Class("p", 11, None),
     # involutions avoiding 321
     "two_row_involutions": _Class(
         "a", 13, lambda n: involutions(n), lambda p: permutations.lds_length(p) <= 2,
@@ -127,16 +128,16 @@ _CLASSES: dict[str, _Class] = {
     ),
     # tableaux with at most two rows
     "two_row_tableaux": _Class(
-        None, 16, None, perms=False, shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n)),
+        None, 16, None, shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n)),
     # (2, 4)-protected tableaux of the hook-plus-box shapes
     "protected24_tableaux": _Class(
-        None, 16, None, lambda t: tableaux.is_lm_protected(t, 2, 4), perms=False,
+        None, 16, None, lambda t: tableaux.is_lm_protected(t, 2, 4),
         shapes=lambda k, d, n: tableaux.hook_plus_box_shape(k, d, n),
         total=lambda n: (n - 3) * 2 ** (n - 3) if n >= 4 else 0,
     ),
     # tableaux shaped like a hook plus a (2, 2) box
     "hook_plus_box_tableaux": _Class(
-        None, 16, None, perms=False, shapes=lambda k, d, n: tableaux.hook_plus_box_shape(k, d, n),
+        None, 16, None, shapes=lambda k, d, n: tableaux.hook_plus_box_shape(k, d, n),
         total=lambda n: (n - 4) * 2 ** (n - 2) + 2 if n >= 4 else 0,
     ),
 }

@@ -100,13 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sequence(args) -> int:
     lm = _parse_lm(args.lm) if args.lm else None
     if args.method == "shapes":
+        # In the order sequence checks: the class, n, lm, then jobs.
+        label, _ = census._shape_class(args.label)
+        census._check_n(args.n)
+        if lm is not None:
+            raise ValueError(f"class {label!r} takes no lm parameter")
         if args.jobs not in (None, 1):
             raise ValueError(f"--method shapes runs serially: --jobs must be 1, got {args.jobs}")
-        if lm is not None:
-            # An unknown or unsupported class is named before the stray lm.
-            label, _ = census._shape_class(args.label)
-            raise ValueError(f"class {label!r} takes no lm parameter")
-        seq = census.counts_by_shape(args.label, args.n)
+        seq = census.counts_by_shape(label, args.n)
     else:
         seq = census.sequence(args.label, args.n, lm=lm, jobs=args.jobs)
     if args.format == "csv":

@@ -8,7 +8,7 @@ explicit tables for n = 3 and n = 4, and preserves the pair type: the type
 of a hook records whether its largest entry ends the first column (DOWN)
 or the first row (RIGHT).  For l > k + 2 injectivity is all that matters
 downstream, so those maps are realized by deterministic rank arithmetic
-(:func:`_rank_inject_rows`) over the lexicographic order of hooks.
+(:func:`_rank_rows`) over the lexicographic order of hooks.
 ``hook_preimage`` undoes the map on first rows, case by case, and returns
 None off its image, so a checker proves injectivity by round trips
 instead of remembering every pair.
@@ -109,16 +109,20 @@ def _hook_unrank(n: int, k: int, rank: int) -> Row:
     return (1,) + tuple(v + 2 for v in _comb_unrank(rank, n - 1, k - 1))
 
 
-def _rank_inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
-    """Rank arithmetic for a gap l - k >= 2: divmod of the pair's mixed-radix
-    rank i * C(n-1, l-1) + j by C(n-1, l-2).  Injective because binomials are
-    log-concave: C(n-1, k-1) C(n-1, l-1) <= C(n-1, k) C(n-1, l-2)."""
-    k, l = len(row1), len(row2)
+def _rank_rows(n: int, row1: Row, row2: Row, k: int, l: int) -> Optional[tuple[Row, Row]]:
+    """The rows of lengths (k, l) at the pair's mixed-radix rank: the ranks
+    i, j of row1, row2 give i * C(n-1, len(row2)-1) + j, whose divmod by
+    C(n-1, l-1) ranks them; None when the quotient ranks no row of length k.
+    The map moves lengths one step closer, its preimage moves them back.
+    Injective, and never None from the map, because binomials are
+    log-concave: C(n-1, k-2) C(n-1, l) <= C(n-1, k-1) C(n-1, l-1)."""
     i, j = divmod(
-        _hook_rank(n, row1) * comb(n - 1, l - 1) + _hook_rank(n, row2),
-        comb(n - 1, l - 2),
+        _hook_rank(n, row1) * comb(n - 1, len(row2) - 1) + _hook_rank(n, row2),
+        comb(n - 1, l - 1),
     )
-    return _hook_unrank(n, k + 1, i), _hook_unrank(n, l - 1, j)
+    if i >= comb(n - 1, k - 1):
+        return None
+    return _hook_unrank(n, k, i), _hook_unrank(n, l, j)
 
 
 def _inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
@@ -127,7 +131,7 @@ def _inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
     if n <= 4:
         return HOOK_BASE_TABLE[(n, row1, row2)]
     if len(row2) > len(row1) + 2:
-        return _rank_inject_rows(n, row1, row2)
+        return _rank_rows(n, row1, row2, len(row1) + 1, len(row2) - 1)
     right1 = row1[-1] == n
     right2 = row2[-1] == n
     if not right1 and right2:
@@ -151,30 +155,14 @@ _HOOK_BASE_PREIMAGE: dict[tuple[int, Row, Row], tuple[Row, Row]] = {
 }
 
 
-def _rank_preimage_rows(n: int, u1: Row, u2: Row) -> Optional[tuple[Row, Row]]:
-    """Inverse of :func:`_rank_inject_rows`: from the ranks i and j of the
-    image rows, rebuild x = i * C(n-1, l-2) + j and divmod it by
-    C(n-1, l-1); x is an image exactly when the quotient ranks a row of
-    length k."""
-    k, l = len(u1) - 1, len(u2) + 1
-    if k < 1 or l > n:
-        return None
-    i, j = divmod(
-        _hook_rank(n, u1) * comb(n - 1, l - 2) + _hook_rank(n, u2),
-        comb(n - 1, l - 1),
-    )
-    if i >= comb(n - 1, k - 1):
-        return None
-    return _hook_unrank(n, k, i), _hook_unrank(n, l, j)
-
-
 def _preimage_rows(n: int, u1: Row, u2: Row) -> Optional[tuple[Row, Row]]:
     """:func:`_inject_rows` undone, case by case; both rows start at 1 and
     u1 is no longer than u2."""
     if n <= 4:
         return _HOOK_BASE_PREIMAGE.get((n, u1, u2))
     if len(u2) > len(u1):
-        return _rank_preimage_rows(n, u1, u2)
+        k, l = len(u1) - 1, len(u2) + 1
+        return _rank_rows(n, u1, u2, k, l) if k >= 1 and l <= n else None
     # A gap of 2 maps to equal lengths, and whether each image row ends in n
     # names the case of _inject_rows that made it.
     right1 = u1[-1] == n

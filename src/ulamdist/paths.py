@@ -14,8 +14,8 @@ path of a block.  The builders here (:func:`tableau_to_path`, which
 :func:`lattice_paths` maps over two-row tableaux, and :func:`flip_inject`)
 build sub-diagonal paths by construction, through ``_path``, the unchecked
 builder of the frozen-value core :class:`~ulamdist.tableaux._Value` that
-``LatticePath`` shares with ``Tableau``; :func:`flip_preimage` checks its
-un-flipped candidates, which need not be paths.
+``LatticePath`` shares with ``Tableau``; :func:`flip_preimage` checks the
+candidates of the flip's tail exchange, which need not be paths.
 """
 
 from __future__ import annotations
@@ -119,6 +119,13 @@ def _last_crossing(a: str, b: str) -> Optional[int]:
     return len(diffs) - diffs[::-1].index(9)
 
 
+def _exchange_tails(a: str, b: str) -> Optional[tuple[LatticePath, LatticePath]]:
+    """a and b with their tails after :func:`_last_crossing` exchanged,
+    built unchecked; None if there is no crossing."""
+    t = _last_crossing(a, b)
+    return None if t is None else (_path(a[:t] + b[t:]), _path(b[:t] + a[t:]))
+
+
 def flip_inject(p: LatticePath, q: LatticePath) -> tuple[LatticePath, LatticePath]:
     """Exchange the tails of p and q after their last meeting point.
 
@@ -134,9 +141,9 @@ def flip_inject(p: LatticePath, q: LatticePath) -> tuple[LatticePath, LatticePat
     if b.count("E") != a.count("E") + 2:
         raise ValueError("second path must take exactly two more east steps: "
                          f"{a.count('E')} vs {b.count('E')}")
-    t = _last_crossing(a, b)
-    assert t is not None, "translated paths always share a point"
-    return _path(a[:t] + b[t:]), _path(b[:t] + a[t:])
+    swapped = _exchange_tails(a, b)
+    assert swapped is not None, "translated paths always share a point"
+    return swapped
 
 
 def flip_preimage(
@@ -144,30 +151,28 @@ def flip_preimage(
 ) -> Optional[tuple[LatticePath, LatticePath]]:
     """Undo :func:`flip_inject`; None when (r, s) is not in its image.
 
-    The cut point t is the last common point of the translated r and s:
-    the last step count where D = (east steps of s) - (east steps of r) is
-    1.  If there is none, or un-flipping (swapping the tails after t)
-    produces a path that crosses the diagonal, the pair has no preimage.
-    Otherwise the un-flipped pair (p, q) is one, so the flip is not
-    re-applied to check it: up to t the east-step difference of q and p is
-    D itself, and after t it is 2 - D, which is never 1 since D is never 1
-    there (and ends at 2, since r and s take equally many east steps).  So
-    t is also the last crossing of (p, q), the flip cuts there, and
-    swapping the tails again restores (r, s).
+    The flip's own tail exchange undoes it.  Its cut point t is the last
+    common point of the translated r and s: the last step count where
+    D = (east steps of s) - (east steps of r) is 1.  If there is none, or
+    the exchange produces a string that crosses the diagonal, the pair has
+    no preimage.  Otherwise the exchanged pair (p, q) is one, so the flip is
+    not re-applied to check it: up to t the east-step difference of q and p
+    is D itself, and after t it is 2 - D, which is never 1 since D is never
+    1 there (and ends at 2, since r and s take equally many east steps).
+    So t is also the last crossing of (p, q), the flip cuts there, and
+    exchanging the tails again restores (r, s).
     """
     a, b = r.steps, s.steps
     if len(a) != len(b):
         raise ValueError(f"paths differ in length: {len(a)} vs {len(b)}")
     if a.count("E") != b.count("E"):
         raise ValueError(f"paths differ in east steps: {a.count('E')} vs {b.count('E')}")
-    t = _last_crossing(a, b)
-    if t is None:
+    back = _exchange_tails(a, b)
+    if back is None:
         return None
-    p_steps = a[:t] + b[t:]
-    q_steps = b[:t] + a[t:]
     try:
-        check_path(p_steps)
-        check_path(q_steps)
+        for path in back:
+            check_path(path.steps)
     except ValueError:
         return None
-    return _path(p_steps), _path(q_steps)
+    return back

@@ -15,7 +15,8 @@ it one memoised check per run.  The builders here
 :func:`attach_surplus`) produce standard tableaux by construction, so they
 trust their input and build through ``_tableau``, the core's unchecked
 builder, the way the arithmetic helpers of :mod:`ulamdist.permutations`
-trust theirs.
+trust theirs.  :func:`hook_tableaux`, the paths and the census's tableau
+classes are all read off :func:`standard_tableaux`, one shape at a time.
 
 The text form used by the CLI writes rows separated by ``/`` with entries
 comma-separated, e.g. ``"1,3/2"``.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from itertools import chain, combinations, filterfalse
+from itertools import chain, filterfalse
 from operator import ge, lt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -250,14 +251,12 @@ def hook_from_first_row(n: int, first_row: Sequence[int]) -> Tableau:
 
 
 def hook_tableaux(n: int, k: int | None = None) -> Iterator[Tableau]:
-    """All hooks of size n, optionally restricted to first-row length k,
-    in lexicographic order of the first-row entry set."""
+    """All hooks of size n, optionally restricted to first-row length k, in
+    ascending k: those of shape (k, 1^(n - k)) that :func:`standard_tableaux`
+    lists, in lexicographic order of the first-row entry set."""
     ks = range(1, n + 1) if k is None else [k]
-    for kk in ks:
-        if not 1 <= kk <= n:
-            continue
-        for rest in combinations(range(2, n + 1), kk - 1):
-            yield hook_from_first_row(n, (1,) + rest)
+    return chain.from_iterable(standard_tableaux((kk,) + (1,) * (n - kk))
+                               for kk in ks if 1 <= kk <= n)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +323,12 @@ def partitions(n: int) -> Iterator[Shape]:
 
 
 def standard_tableaux(shape: Sequence[int]) -> Iterator[Tableau]:
-    """All standard Young tableaux of the given shape, by backtracking."""
+    """All standard Young tableaux of a nonempty shape, by backtracking."""
     shape = tuple(shape)
     if not is_partition(shape):
         raise ValueError(f"not a partition: {shape}")
+    if not shape:
+        raise ValueError("tableau must have nonempty rows")
     n = sum(shape)
     grid = [[0] * r for r in shape]
     fill = [0] * len(shape)

@@ -114,6 +114,14 @@ class TestSequence:
         assert code == 2 and out == ""
         assert err == f"error: n must be >= 1, got {n}\n"
 
+    @pytest.mark.parametrize("flag", [("--lm", "2,4"), ("--jobs", "2")], ids=["lm", "jobs"])
+    @pytest.mark.parametrize("method", ["enumerate", "shapes"])
+    def test_n_is_checked_before_lm_and_jobs(self, capsys, method, flag):
+        code, out, err = run(
+            capsys, "sequence", "--class", "u", "--n", "0", "--method", method, *flag
+        )
+        assert (code, out, err) == (2, "", "error: n must be >= 1, got 0\n")
+
     @pytest.mark.parametrize("label", ["u", "i"])
     def test_shapes_rejects_lm(self, capsys, label):
         code, out, err = run(

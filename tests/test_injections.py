@@ -8,7 +8,7 @@ from ulamdist.injections import (
     _comb_rank,
     _comb_unrank,
     _inject_rows,
-    _rank_inject_rows,
+    _rank_rows,
     hook_inject,
     hook_preimage,
     lift,
@@ -142,7 +142,8 @@ class TestRankInjection:
             }
             for k in range(1, n + 1):
                 for l in range(k + 3, n + 1):
-                    images = {_rank_inject_rows(n, r1, r2) for r1 in rows[k] for r2 in rows[l]}
+                    images = {_rank_rows(n, r1, r2, k + 1, l - 1)
+                              for r1 in rows[k] for r2 in rows[l]}
                     assert len(images) == len(rows[k]) * len(rows[l])
                     assert {r1 for r1, _ in images} <= set(rows[k + 1])
                     assert {r2 for _, r2 in images} <= set(rows[l - 1])

@@ -85,6 +85,12 @@ def test_standard_tableaux_are_standard():
                 assert t.shape == shape
 
 
+def test_standard_tableaux_refuse_the_empty_shape():
+    # A Tableau has nonempty rows, so no builder makes one of shape ().
+    with pytest.raises(ValueError, match="^tableau must have nonempty rows$"):
+        list(standard_tableaux(()))
+
+
 def test_hook_tableaux_are_standard():
     for n in range(1, 11):
         for t in hook_tableaux(n):
