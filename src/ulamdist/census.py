@@ -40,14 +40,14 @@ class BudgetError(RuntimeError):
 class _Class(NamedTuple):
     """Everything the census knows about one class label.
 
-    The members of size n are the permutations ``base(n)`` (``perms``) or,
-    with no base, the tableaux of the shapes of n the rule admits in
-    ``partitions`` order, where ``passes`` holds: the rule ``shapes(k, d, n)``
-    on the first row k and column d of the insertion shape (a permutation's
-    LIS and LDS), then the filter ``member(x)``, each
-    if any (``_check_class`` binds protected's (l, m) into its filter);
-    ``contains`` tests a candidate, such as an injection's image, against the
-    same rules.  ``_sweep_counts`` counts a swept class over S_n by
+    The members of size n are the permutations ``base(n)`` (``perms``) where
+    ``passes`` holds: the rule ``shapes(k, d, n)`` on the first row k and
+    column d of the insertion shape (a permutation's LIS and LDS), then the
+    filter ``member(x)``, each if any (``_check_class`` binds protected's
+    (l, m) into its filter).  With no base, they are the tableaux of the
+    shapes of n the rule admits, in ``partitions`` order, tested by the
+    filter only.  ``contains`` tests a candidate, such as an injection's
+    image, against both.  ``_sweep_counts`` counts a swept class over S_n by
     patience-sorting states, pruned by the rule, which holds on every prefix
     of a permutation it keeps; the module docstring says why ``jobs`` does
     not split it.  ``per_k(n, k)`` and ``total(n)`` are closed
@@ -69,8 +69,10 @@ class _Class(NamedTuple):
         return self.base is not None
 
     def members(self, n: int) -> Iterator:
-        made = self.base(n) if self.perms else _shaped_tableaux(self.shapes, n)
-        return (x for x in made if self.passes(n, x))
+        if self.perms:
+            return (x for x in self.base(n) if self.passes(n, x))
+        made = _shaped_tableaux(self.shapes, n)
+        return made if self.member is None else filter(self.member, made)
 
     def passes(self, n: int, x) -> bool:
         """Whether a candidate of size n passes the row's shape rule, then its filter."""
@@ -128,7 +130,8 @@ _CLASSES: dict[str, _Class] = {
     ),
     # tableaux with at most two rows
     "two_row_tableaux": _Class(
-        None, 16, None, shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n)),
+        None, 16, None, shapes=lambda k, d, n: tableaux.two_row_shape(k, d, n),
+        per_k=lambda n, k: _two_row_count(n, k)),
     # (2, 4)-protected tableaux of the hook-plus-box shapes
     "protected24_tableaux": _Class(
         None, 16, None, lambda t: tableaux.is_lm_protected(t, 2, 4),
@@ -224,10 +227,8 @@ def _check_budget(label: str, n: int, pairs: Optional[Callable[[], int]] = None)
         )
 
 
-def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> _Class:
-    """Check n (for every class enumeration), then lm, then the budget: a bad
-    lm is named before a refusal.  Returns the row, protected's bound to lm."""
-    _check_n(n)
+def _check_lm(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> None:
+    """The lm rule of both counters: protected needs 1 <= l <= m <= n, no other class lm."""
     if canonical == "protected":
         if lm is None:
             raise ValueError("class 'protected' requires the lm parameter")
@@ -236,6 +237,13 @@ def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> _Clas
             raise ValueError(f"lm must satisfy 1 <= l <= m <= n={n}, got {l},{m}")
     elif lm is not None:
         raise ValueError(f"class {canonical!r} takes no lm parameter")
+
+
+def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> _Class:
+    """Check n, then lm (``_check_lm``), then the budget: a bad lm is named
+    before a refusal.  Returns the row, protected's bound to lm."""
+    _check_n(n)
+    _check_lm(canonical, n, lm)
     _check_budget(canonical, n)
     row = _CLASSES[canonical]
     return row if lm is None else row._replace(member=lambda t: tableaux.is_lm_protected(t, *lm))
@@ -448,20 +456,10 @@ def count_standard_tableaux(shape: tuple[int, ...]) -> int:
     return count
 
 
-def _shape_class(label: str) -> tuple[str, int]:
-    """Canonical label and shape weight of a permutation row with neither a
-    shape rule nor a filter: 2 for a row swept over S_n, whose permutations
-    row-insert to two tableaux of one shape, else 1 (involutions, one)."""
-    canonical = resolve_label(label)
-    row = _CLASSES[canonical]
-    if not row.perms or row.shapes is not None or row.member is not None:
-        raise ValueError(f"--method shapes is not available for {label!r}")
-    return canonical, 2 if row.swept else 1
-
-
-def counts_by_shape(label: str, n: int) -> ClassSequence:
-    """A triangle row computed without enumeration, for the classes that are
-    a weighted sum over all shapes of n.
+def counts_by_shape(label: str, n: int, *, lm: Optional[tuple[int, int]] = None,
+                    jobs: Optional[int] = None) -> ClassSequence:
+    """A triangle row computed without enumeration, for the permutation classes
+    with neither a shape rule nor a filter: a weighted sum over all shapes of n.
 
     Row insertion pairs each permutation with two equal-shape tableaux, and
     each involution with one, and sends the statistic to the first-row
@@ -469,12 +467,21 @@ def counts_by_shape(label: str, n: int) -> ClassSequence:
     with first row k: e = 2 for all permutations, 1 for involutions.  Used
     as a cross-checked accelerator; exhaustive enumeration stays the
     reference.
+
+    Checks the class, n, then lm (which no such class takes) and jobs
+    (absent or 1: the sum runs serially), in ``sequence``'s order.
     """
-    canonical, weight = _shape_class(label)
+    canonical = resolve_label(label)
+    row = _CLASSES[canonical]
+    if not row.perms or row.shapes is not None or row.member is not None:
+        raise ValueError(f"--method shapes is not available for {label!r}")
     _check_n(n)
-    counts: Counter = Counter()
+    _check_lm(canonical, n, lm)
+    if jobs not in (None, 1):
+        raise ValueError(f"--method shapes runs serially: --jobs must be 1, got {jobs}")
+    e, counts = (2 if row.swept else 1), Counter()
     for shape in tableaux.partitions(n):
-        counts[shape[0]] += count_standard_tableaux(shape) ** weight
+        counts[shape[0]] += count_standard_tableaux(shape) ** e
     return _make_sequence(canonical, n, counts)
 
 
@@ -746,9 +753,10 @@ def verify_injection(
                          f"{n - 2 + shift}, got k={k}")
     es = range(lo, n - 1) if k is None else (k - shift,)
 
-    def sides(label: str, count: Callable[[int, int], int], build: Callable):
-        """Check the budget of ``label``, whose refusal counts the pairs by
-        ``count(n, e)``; side e is then the members ``build(n, e)``, built once."""
+    def sides(label: str, build: Callable):
+        """Check the budget of ``label``, whose refusal counts the pairs by the
+        row's ``per_k(n, e)``; side e is then the members ``build(n, e)``, built once."""
+        count = _CLASSES[label].per_k
         _check_budget(label, n, lambda: sum(count(n, e) * count(n, e + 2) for e in es))
         return cache(lambda e: list(build(n, e)))
 
@@ -775,7 +783,7 @@ def verify_injection(
             return back(n, u1.rows[0], u2.rows[0]) == (t1.rows[0], t2.rows[0])
 
         runs = {"": (
-            sides("hooks", _hook_count, tableaux.hook_tableaux),
+            sides("hooks", tableaux.hook_tableaux),
             injections.hook_inject, partial(_CLASSES["hooks"].contains, n),
             ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (typed(t1), typed(t2))),
         )}
@@ -790,7 +798,7 @@ def verify_injection(
             back = paths.flip_preimage(r, s)
             return back is not None and (back[0].steps, back[1].steps) == (p.steps, q.steps)
 
-        runs = {"": (sides("two_row_tableaux", _two_row_count, paths.lattice_paths),
+        runs = {"": (sides("two_row_tableaux", paths.lattice_paths),
                      paths.flip_inject, in_paths, ("preimage", preimage))}
         inverse = preimage
     elif kind == "protected":

@@ -20,7 +20,7 @@ from .tableaux import format_tableau, parse_tableau
 
 def _parse_lm(text: str) -> tuple[int, int]:
     parts = text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
         raise ValueError(f"invalid l,m value {text!r}")
     return int(parts[0]), int(parts[1])
 
@@ -99,17 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sequence(args) -> int:
     lm = _parse_lm(args.lm) if args.lm else None
-    if args.method == "shapes":
-        # In the order sequence checks: the class, n, lm, then jobs.
-        label, _ = census._shape_class(args.label)
-        census._check_n(args.n)
-        if lm is not None:
-            raise ValueError(f"class {label!r} takes no lm parameter")
-        if args.jobs not in (None, 1):
-            raise ValueError(f"--method shapes runs serially: --jobs must be 1, got {args.jobs}")
-        seq = census.counts_by_shape(label, args.n)
-    else:
-        seq = census.sequence(args.label, args.n, lm=lm, jobs=args.jobs)
+    count = census.counts_by_shape if args.method == "shapes" else census.sequence
+    seq = count(args.label, args.n, lm=lm, jobs=args.jobs)
     if args.format == "csv":
         sys.stdout.write(census.sequence_csv(seq))
     else:

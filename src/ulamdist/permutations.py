@@ -37,7 +37,7 @@ def parse_permutation(text: str) -> Perm:
     tokens = [tok.strip() for tok in text.split(",")]
     word = []
     for tok in tokens:
-        if not tok.lstrip("-").isdigit():
+        if not tok.removeprefix("-").isdecimal():
             raise ValueError(f"invalid permutation entry {tok!r} in {text!r}")
         word.append(int(tok))
     if not is_permutation_word(word):

@@ -146,7 +146,7 @@ def parse_tableau(text: str) -> Tableau:
         row = []
         for tok in row_text.split(","):
             tok = tok.strip()
-            if not tok.isdigit():
+            if not tok.isdecimal():
                 raise ValueError(f"invalid tableau entry {tok!r} in {text!r}")
             row.append(int(tok))
         rows.append(tuple(row))

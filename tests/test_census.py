@@ -240,6 +240,26 @@ def test_each_shape_rule_keeps_exactly_its_shape_family(label):
             assert Counter(members) == Counter(expect)
 
 
+@pytest.mark.parametrize("label, rule", [
+    ("hooks", "hook_shape"), ("two_row_tableaux", "two_row_shape"),
+    ("hook_plus_box_tableaux", "hook_plus_box_shape"),
+    ("protected24_tableaux", "hook_plus_box_shape"),
+])
+def test_a_generated_row_applies_its_rule_once_per_shape(monkeypatch, label, rule):
+    # The rule picks the shapes; the tableaux generated from them are not
+    # re-tested.  test_protected_enumerates_every_shape_in_partition_order
+    # checks the members.
+    calls, real = [], getattr(tableaux, rule)
+
+    def counted(k, d, n):
+        calls.append((k, d, n))
+        return real(k, d, n)
+
+    monkeypatch.setattr(tableaux, rule, counted)
+    list(enumerate_class(label, 8))
+    assert len(calls) == len(list(tableaux.partitions(8))) == 22
+
+
 def test_the_hook_test_is_the_hook_rule():
     for n in range(1, 9):
         for t in _all_standard_tableaux(n):
@@ -268,7 +288,7 @@ def test_shape_sums_serve_all_permutations_and_involutions_only(label):
     weights = {"all_permutations": 2, "involutions": 1}
     for name in filter(None, (label, census._CLASSES[label].alias)):
         if label in weights:
-            assert census._shape_class(name) == (label, weights[label])
+            assert counts_by_shape(name, 5).label == label
         else:
             with pytest.raises(ValueError, match=f"^--method shapes is not available for {name!r}$"):
                 counts_by_shape(name, 5)
@@ -500,6 +520,19 @@ class TestShapeCounts:
 
         assert seq.total == math.factorial(15)
 
+    @pytest.mark.parametrize("label, n, kwargs, message", [
+        ("h", 0, {"lm": (2, 4)}, "--method shapes is not available for 'h'"),
+        ("u", 0, {"lm": (2, 4)}, "n must be >= 1, got 0"),
+        ("u", 4, {"lm": (2, 4), "jobs": 2}, "class 'all_permutations' takes no lm parameter"),
+        ("u", 4, {"jobs": 2}, "--method shapes runs serially: --jobs must be 1, got 2"),
+    ], ids=["class", "n", "lm", "jobs"])
+    def test_checks_the_class_then_n_then_lm_then_jobs(self, label, n, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            counts_by_shape(label, n, **kwargs)
+
+    def test_jobs_one_is_the_serial_sum(self):
+        assert counts_by_shape("u", 4, jobs=1) == counts_by_shape("u", 4)
+
 
 class TestClosedForms:
     def test_hooks(self):
@@ -510,6 +543,7 @@ class TestClosedForms:
     def test_two_row(self):
         assert closed_form("a", 6, 3) == 5
         assert closed_form("a", 6, 2) == 0
+        assert closed_form("two_row_tableaux", 6, 3) == 5
 
     def test_totals(self):
         assert closed_form("protected24_tableaux", 5) == 8

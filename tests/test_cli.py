@@ -421,6 +421,30 @@ class TestRsk:
         assert err == "error: expected two tableaux separated by ';' in '1,2'\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("rsk", "--perm", "\u00b2"), "invalid permutation entry '\u00b2' in '\u00b2'"),
+    (("rsk", "--perm", "1,--2"), "invalid permutation entry '--2' in '1,--2'"),
+    (("inject", "hook", "--t1", "\u00b2", "--t2", "1"), "invalid tableau entry '\u00b2' in '\u00b2'"),
+    (("sequence", "--class", "p", "--n", "3", "--lm", "\u00b2,1"), "invalid l,m value '\u00b2,1'"),
+], ids=["perm", "perm-double-minus", "tableau", "lm"])
+def test_parsers_name_a_digit_int_cannot_read(capsys, argv, err):
+    # A superscript digit passes str.isdigit() but not int(); the parser names it.
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rsk", "--perm", "2,1"),
+    ("inject", "hook", "--t1", "1/2/3", "--t2", "1,2,3"),
+    ("sequence", "--class", "p", "--n", "3", "--lm", "2,3"),
+], ids=["perm", "tableau", "lm"])
+def test_parsers_read_arabic_indic_digits(capsys, argv):
+    # int() reads them, so they mean what the ASCII digits do.
+    digits = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    indic = [a if a.startswith("-") else a.translate(digits) for a in argv]
+    assert indic != list(argv)
+    assert run(capsys, *indic) == run(capsys, *argv)
+
+
 class TestInject:
     def test_hook(self, capsys):
         code, out, _ = run(capsys, "inject", "hook", "--t1", "1/2/3", "--t2", "1,2,3")
