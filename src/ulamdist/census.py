@@ -45,14 +45,14 @@ class _Class(NamedTuple):
     column d of the insertion shape (a permutation's LIS and LDS), then the
     filter ``member(x)``, each if any (``_check_class`` binds protected's
     (l, m) into its filter).  With no base, they are the tableaux of the
-    shapes of n the rule admits, in ``partitions`` order, tested by the
-    filter only.  ``contains`` tests a candidate, such as an injection's
-    image, against both.  ``_sweep_counts`` counts a swept class over S_n by
-    patience-sorting states, pruned by the rule, which holds on every prefix
-    of a permutation it keeps; the module docstring says why ``jobs`` does
-    not split it.  ``per_k(n, k)`` and ``total(n)`` are closed
-    forms.  Every callable looks its helpers up when called, so patching or
-    rebinding a module-level name reaches it.
+    shapes of n the rule admits, only those with first row k given k, in
+    ``partitions`` order, tested by the filter only.  ``contains`` tests a
+    candidate, such as an injection's image, against both.  ``_sweep_counts``
+    counts a swept class over S_n by patience-sorting states, pruned by the
+    rule, which holds on every prefix of a permutation it keeps; the module
+    docstring says why ``jobs`` does not split it.  ``per_k(n, k)`` and
+    ``total(n)`` are closed forms.  Every callable looks its helpers up when
+    called, so patching or rebinding a module-level name reaches it.
     """
 
     alias: Optional[str]
@@ -68,10 +68,13 @@ class _Class(NamedTuple):
     def perms(self) -> bool:
         return self.base is not None
 
-    def members(self, n: int) -> Iterator:
+    def members(self, n: int, k: Optional[int] = None) -> Iterator:
         if self.perms:
             return (x for x in self.base(n) if self.passes(n, x))
-        made = _shaped_tableaux(self.shapes, n)
+        made = (t for shape in tableaux.partitions(n)
+                if k in (None, shape[0])
+                and (self.shapes is None or self.shapes(shape[0], len(shape), n))
+                for t in tableaux.standard_tableaux(shape))
         return made if self.member is None else filter(self.member, made)
 
     def passes(self, n: int, x) -> bool:
@@ -190,9 +193,13 @@ def _check_n(n: int) -> None:
 
 
 def _scientific(digits: float) -> str:
-    """The number 10^digits as ``<mantissa>e<exponent>``."""
+    """The number 10^digits as ``<mantissa>e<exponent>``, the mantissa
+    rounded first, so one that rounds up to 10 carries into the exponent."""
     exponent = floor(digits)
-    return f"{10 ** (digits - exponent):.2f}e{exponent}"
+    mantissa = round(10 ** (digits - exponent), 2)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{mantissa:.2f}e{exponent}"
 
 
 def _factorial_text(n: int) -> str:
@@ -208,25 +215,6 @@ def _factorial_text(n: int) -> str:
 _PAIRS_N_MAX = 1000
 
 
-def _check_budget(label: str, n: int, pairs: Optional[Callable[[], int]] = None) -> None:
-    """Refuse n above the label's cap; the caller checks n.  The refusal
-    states the size of the work refused: n! for a class swept over S_n, and
-    ``pairs()``, the domain of an injection, when given and n <= _PAIRS_N_MAX."""
-    limit = enumeration_cap(label)
-    if n > limit:
-        size = ""
-        if _CLASSES[label].swept:
-            size = f" ({_factorial_text(n)} permutations)"
-        elif pairs is not None and n <= _PAIRS_N_MAX:
-            count = pairs()
-            text = str(count) if count < 10 ** 20 else f"~ {_scientific(log10(count))}"
-            size = f" ({text} pairs)"
-        raise BudgetError(
-            f"enumeration of {label!r} at n={n} exceeds the cap {limit}{size}; "
-            f"set ULAM_BUDGET to raise it"
-        )
-
-
 def _check_lm(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> None:
     """The lm rule of both counters: protected needs 1 <= l <= m <= n, no other class lm."""
     if canonical == "protected":
@@ -239,13 +227,28 @@ def _check_lm(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> None:
         raise ValueError(f"class {canonical!r} takes no lm parameter")
 
 
-def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]]) -> _Class:
-    """Check n, then lm (``_check_lm``), then the budget: a bad lm is named
-    before a refusal.  Returns the row, protected's bound to lm."""
+def _check_class(canonical: str, n: int, lm: Optional[tuple[int, int]],
+                 pairs: Optional[Callable[[], int]] = None) -> _Class:
+    """The one gate of every class a command enumerates: n, then lm
+    (``_check_lm``), then the cap, whose BudgetError states the work refused:
+    n! for a class swept over S_n, else ``pairs()``, the domain of an
+    injection, when given and n <= _PAIRS_N_MAX.  Returns the row,
+    protected's bound to lm."""
     _check_n(n)
     _check_lm(canonical, n, lm)
-    _check_budget(canonical, n)
-    row = _CLASSES[canonical]
+    row, limit = _CLASSES[canonical], enumeration_cap(canonical)
+    if n > limit:
+        size = ""
+        if row.swept:
+            size = f" ({_factorial_text(n)} permutations)"
+        elif pairs is not None and n <= _PAIRS_N_MAX:
+            count = pairs()
+            text = str(count) if count < 10 ** 20 else f"~ {_scientific(log10(count))}"
+            size = f" ({text} pairs)"
+        raise BudgetError(
+            f"enumeration of {canonical!r} at n={n} exceeds the cap {limit}{size}; "
+            f"set ULAM_BUDGET to raise it"
+        )
     return row if lm is None else row._replace(member=lambda t: tableaux.is_lm_protected(t, *lm))
 
 
@@ -278,14 +281,6 @@ def involutions(n: int) -> Iterator[Perm]:
 def _permutations_of(n: int, m: int) -> Iterator[Perm]:
     """The m-entry prefixes of S_n in lexicographic order; S_n itself at m = n."""
     return itertools.permutations(range(1, n + 1), m)
-
-
-def _shaped_tableaux(shapes: Optional[Callable], n: int) -> Iterator[Tableau]:
-    """The standard tableaux of each shape of n that ``shapes`` admits (every
-    shape, without a rule), in the order of ``tableaux.partitions``."""
-    for shape in tableaux.partitions(n):
-        if shapes is None or shapes(shape[0], len(shape), n):
-            yield from tableaux.standard_tableaux(shape)
 
 
 def enumerate_class(
@@ -562,8 +557,7 @@ def verify_conjecture(n_max: int, jobs: Optional[int] = None) -> list[LogConcavi
     """Log-concavity of the all-permutations triangle rows for n <= n_max,
     from exhaustive enumeration.  Budget-capped; sizes beyond the cap are
     refused rather than extrapolated."""
-    _check_n(n_max)
-    _check_budget("all_permutations", n_max)
+    _check_class("all_permutations", n_max, None)
     return [
         check_log_concavity(sequence("all_permutations", n, jobs=jobs))
         for n in range(1, n_max + 1)
@@ -719,12 +713,14 @@ def verify_injection(
     or not a class has members at j; hook and flip name a block by
     k = j - 1, protected and lift by j.  Each map is
     called on the pair alone and reads n, the statistics and the
-    protected area off it; j serves only the codomain check.  A class
-    injection's codomain is read from the class table: a member of size n
-    with statistic j (``_Class.contains``).  Flip's is the paths of n steps
-    with j east steps.  The maps build their images unchecked, so every
-    distinct image of a block is validated once, and a malformed image is
-    a codomain failure.  Hook, flip and protected prove each block
+    protected area off it; j serves only the codomain check.  Hook, flip
+    and protected take side e, built once, as ``row.members(n, e)`` of the
+    row ``_check_class`` returns (flip's as paths), and a class injection's
+    codomain from its row: a member of size n with statistic j
+    (``_Class.contains``).  Flip's is the paths of n steps with j east
+    steps.  The maps build their images unchecked, so every distinct image
+    of a block is validated once, and a malformed image is a codomain
+    failure.  Hook, flip and protected prove each block
     injective by a left inverse, ``injections.hook_preimage`` on first rows,
     the preimage check's ``paths.flip_preimage`` and
     ``injections.protected_preimage`` on rows, so they keep nothing per
@@ -733,9 +729,9 @@ def verify_injection(
     Before any enumeration, every kind checks in this order: the kind; that
     each of lift_classes is a key of ``_LIFT_CLASSES``; that lm is given for
     the protected kind only; that n >= 1; that an explicit k lies in the kind's
-    range; for the protected kind, the range of lm; last, the budget of
-    every class enumerated, where a refused hook or flip states its number
-    of pairs."""
+    range; last, ``_check_class`` on every class enumerated (for the
+    protected kind, the range of lm, then the cap), where a refused hook or
+    flip states its number of pairs."""
     if kind not in _INJECTION_KINDS:
         raise ValueError(f"unknown injection kind {kind!r}")
     for name in lift_classes:
@@ -753,12 +749,15 @@ def verify_injection(
                          f"{n - 2 + shift}, got k={k}")
     es = range(lo, n - 1) if k is None else (k - shift,)
 
-    def sides(label: str, build: Callable):
-        """Check the budget of ``label``, whose refusal counts the pairs by the
-        row's ``per_k(n, e)``; side e is then the members ``build(n, e)``, built once."""
+    def sides(label: str, f: Callable, view: Callable = lambda x: x):
+        """Side, map and codomain of f into ``label``, past the gate, whose
+        refusal counts the pairs by the row's ``per_k(n, e)`` if it has one:
+        side e is the members with first row e, through ``view``, built once."""
         count = _CLASSES[label].per_k
-        _check_budget(label, n, lambda: sum(count(n, e) * count(n, e + 2) for e in es))
-        return cache(lambda e: list(build(n, e)))
+        pairs = None if count is None else (
+            lambda: sum(count(n, e) * count(n, e + 2) for e in es))
+        row = _check_class(label, n, lm, pairs)
+        return cache(lambda e: list(map(view, row.members(n, e)))), f, partial(row.contains, n)
 
     def into(row: _Class, f: Callable, members: Iterable):
         """Side, map and codomain of f into ``row``: side e is the members with
@@ -782,11 +781,8 @@ def verify_injection(
             # A hook is fixed by its size and first row.
             return back(n, u1.rows[0], u2.rows[0]) == (t1.rows[0], t2.rows[0])
 
-        runs = {"": (
-            sides("hooks", tableaux.hook_tableaux),
-            injections.hook_inject, partial(_CLASSES["hooks"].contains, n),
-            ("type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (typed(t1), typed(t2))),
-        )}
+        runs = {"": (*sides("hooks", injections.hook_inject), (
+            "type", lambda t1, t2, u1, u2: (ht(u1), ht(u2)) == (typed(t1), typed(t2))))}
         inverse = round_trips
     elif kind == "flip":
 
@@ -798,8 +794,8 @@ def verify_injection(
             back = paths.flip_preimage(r, s)
             return back is not None and (back[0].steps, back[1].steps) == (p.steps, q.steps)
 
-        runs = {"": (sides("two_row_tableaux", paths.lattice_paths),
-                     paths.flip_inject, in_paths, ("preimage", preimage))}
+        side, f, _ = sides("two_row_tableaux", paths.flip_inject, paths.tableau_to_path)
+        runs = {"": (side, f, in_paths, ("preimage", preimage))}
         inverse = preimage
     elif kind == "protected":
         back = injections.protected_preimage
@@ -807,8 +803,7 @@ def verify_injection(
         def round_trips(t1, t2, u1, u2):
             return back(u1, u2) == (t1.rows, t2.rows)
 
-        row = _check_class("protected", n, lm)
-        runs = {"": into(row, injections.protected_inject, row.members(n))}
+        runs = {"": sides("protected", injections.protected_inject)}
         inverse = round_trips
     else:
         # Each shape-rigid class at size n with its tableau injection, every

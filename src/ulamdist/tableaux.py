@@ -111,14 +111,15 @@ _set_value = _Value._value.__set__
 class Tableau(_Value):
     """A standard Young tableau: strictly increasing rows and columns filled
     with 1..n exactly once, row lengths weakly decreasing.  A :class:`_Value`
-    on ``rows``; public construction runs :func:`check_tableau`."""
+    on ``rows``; public construction takes any sequence of rows, stores
+    them as tuples and runs :func:`check_tableau`."""
 
     __slots__ = ()
     _field = "rows"
     rows: tuple[tuple[int, ...], ...] = _Value._value
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        _Value.__init__(self, rows)
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        _Value.__init__(self, tuple(map(tuple, rows)))
 
     def __post_init__(self):
         check_tableau(self.rows)

@@ -116,6 +116,22 @@ class TestBudget:
         with pytest.raises(BudgetError):
             verify_conjecture(5)
 
+    def test_factorial_text_carries_a_mantissa_that_rounds_to_ten(self):
+        assert census._factorial_text(261) == "261! ~ 1.00e519"
+        assert census._factorial_text(1556) == "1556! ~ 1.00e4293"
+
+    def test_factorial_text_matches_the_exact_factorial(self):
+        # Up to 1558, where str can still print n! (at most 4,300 digits):
+        # the exponent is the digit count less one, and the mantissa is the
+        # leading digits rounded to two places, carried when it reaches 10.
+        for n in range(21, 1559):
+            digits = str(math.factorial(n))
+            exponent = len(digits) - 1
+            lead = int(digits[:3]) + (digits[3] >= "5")
+            if lead == 1000:
+                lead, exponent = 100, exponent + 1
+            assert census._factorial_text(n) == f"{n}! ~ {lead / 100:.2f}e{exponent}"
+
 
 class TestSequences:
     def test_u3(self):
@@ -1222,15 +1238,18 @@ class TestVerifyInjectionRanges:
 
 
 @pytest.mark.parametrize(
-    "kind, module, name, k, built",
-    [("hook", tableaux, "hook_tableaux", 1, 1 + 105),
-     ("flip", paths, "lattice_paths", 14, 104 + 1)],
-    ids=["hook", "flip"],
+    "kind, n, k, kwargs, built, domain",
+    [("hook", 16, 1, {}, 1 + 105, 105),
+     ("flip", 16, 14, {}, 104 + 1, 104),
+     ("protected", 9, 5, {"lm": (2, 4)}, 1138, 7200)],
+    ids=["hook", "flip", "protected"],
 )
-def test_explicit_k_builds_only_its_two_sides(kind, module, name, k, built, monkeypatch):
-    # The whole class at n = 16 is 32,768 hooks or 12,870 paths.
+def test_explicit_k_builds_only_its_two_sides(kind, n, k, kwargs, built, domain, monkeypatch):
+    # The whole class at n = 16 is 32,768 hooks or 12,870 paths; protected
+    # at n = 9 filters the 2,620 standard tableaux of n, here only those
+    # with first row 4 or 6.
     items = 0
-    build = getattr(module, name)
+    build = tableaux.standard_tableaux
 
     def counted(*args):
         nonlocal items
@@ -1238,9 +1257,9 @@ def test_explicit_k_builds_only_its_two_sides(kind, module, name, k, built, monk
             items += 1
             yield x
 
-    monkeypatch.setattr(module, name, counted)
-    report = verify_injection(kind, 16, k=k)
-    assert report.ok and report.domain_size == built - 1
+    monkeypatch.setattr(tableaux, "standard_tableaux", counted)
+    report = verify_injection(kind, n, k=k, **kwargs)
+    assert report.ok and report.domain_size == domain
     assert items == built
 
 
@@ -1310,6 +1329,28 @@ def test_every_kind_checks_the_blocks_of_its_whole_k_range(kind, n, kwargs, stat
         assert received == [[k + 1 - shift]] * calls
 
 
+@pytest.mark.parametrize("run, labels", [
+    (lambda: verify_injection("hook", 6), ["hooks"]),
+    (lambda: verify_injection("flip", 6), ["two_row_tableaux"]),
+    (lambda: verify_injection("protected", 6, lm=(2, 4)), ["protected"]),
+    (lambda: verify_injection("lift", 6), ["hook_pair_permutations", "avoid321_permutations"]),
+    # n_max first, then each row's sequence.
+    (lambda: verify_conjecture(4), ["all_permutations"] * 5),
+], ids=["hook", "flip", "protected", "lift", "conjecture"])
+def test_every_enumerated_class_passes_the_gate(run, labels, monkeypatch):
+    # _check_class is the one place a class's n, lm and cap are checked.
+    received = []
+    gate = census._check_class
+
+    def recorded(canonical, *args):
+        received.append(canonical)
+        return gate(canonical, *args)
+
+    monkeypatch.setattr(census, "_check_class", recorded)
+    run()
+    assert received == labels
+
+
 def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):
     calls = Counter()
     check_tableau = tableaux.check_tableau
@@ -1335,13 +1376,13 @@ def test_hook_validator_runs_once_per_distinct_image_per_block(monkeypatch):
 
 @pytest.mark.parametrize("kind, n, module, builder, calls", [
     ("hook", 9, tableaux, "standard_tableaux", len(range(1, 10))),
-    ("flip", 11, paths, "lattice_paths", len(range(6, 12))),
+    ("flip", 11, tableaux, "standard_tableaux", len(range(6, 12))),
 ])
 def test_hook_and_flip_build_each_statistic_once(kind, n, module, builder, calls, monkeypatch):
     # Without k, the members with statistic e serve two blocks: as the left
-    # side of block e and the right side of block e - 2.  Hook calls the
-    # tableau builder once per e, on the shape (e, 1^(n - e)), flip the path
-    # builder.
+    # side of block e and the right side of block e - 2.  Each calls the
+    # tableau builder once per e, on the one shape of its class with first
+    # row e: (e, 1^(n - e)) for hook, (e, n - e) for flip.
     count = 0
     build = getattr(module, builder)
 

@@ -168,6 +168,14 @@ class TestSequence:
         assert code == 2
         assert "(5000! ~ 4.23e16325 permutations)" in err
 
+    def test_budget_refusal_carries_a_mantissa_that_rounds_to_ten(self, capsys):
+        code, out, err = run(capsys, "sequence", "--class", "u", "--n", "261")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: enumeration of 'all_permutations' at n=261 exceeds the cap 12 "
+            "(261! ~ 1.00e519 permutations); set ULAM_BUDGET to raise it\n"
+        )
+
     @pytest.mark.parametrize(
         "raw, cap", [("-1", -1), ("0", 0), ("all_permutations=0", 0), ("u=-1", -1)]
     )

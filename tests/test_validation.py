@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from ulamdist.census import enumerate_class
-from ulamdist.injections import protected_inject
+from ulamdist.injections import hook_inject, protected_inject
 from ulamdist.paths import (
     LatticePath,
     _last_crossing,
@@ -30,6 +30,7 @@ from ulamdist.tableaux import (
     check_tableau,
     hook_tableaux,
     partitions,
+    protected_decompose,
     rsk,
     standard_tableaux,
 )
@@ -67,6 +68,16 @@ def test_values_compare_hash_and_show_by_their_field(cls, build, field, value, o
     assert checked == [x]
     with pytest.raises(ValueError):
         cls(bad)
+
+
+def test_a_tableau_built_from_lists_stores_tuples():
+    rows = ((1, 2), (3,))
+    t = Tableau([list(row) for row in rows])
+    assert t.rows == rows and t == Tableau(rows) and hash(t) == hash(Tableau(rows))
+    column, row = Tableau([[1], [2], [3]]), Tableau([[1, 2, 3]])
+    assert hook_inject(column, row) == hook_inject(Tableau(((1,), (2,), (3,))),
+                                                    Tableau(((1, 2, 3),)))
+    assert protected_decompose(t) == protected_decompose(Tableau(rows))
 
 
 def test_rsk_tableaux_are_standard():
