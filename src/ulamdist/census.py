@@ -45,12 +45,13 @@ class _Class(NamedTuple):
     column d of the insertion shape (a permutation's LIS and LDS), then the
     filter ``member(x)``, each if any (``_check_class`` binds protected's
     (l, m) into its filter).  With no base, they are the tableaux of the
-    shapes of n the rule admits, only those with first row k given k, in
-    ``partitions`` order, tested by the filter only.  ``contains`` tests a
-    candidate, such as an injection's image, against both.  ``_sweep_counts``
-    counts a swept class over S_n by patience-sorting states, pruned by the
-    rule, which holds on every prefix of a permutation it keeps; the module
-    docstring says why ``jobs`` does not split it.  ``per_k(n, k)`` and
+    shapes of n the rule admits, in ``partitions`` order, tested by the
+    filter only; given k, only the shapes (k, *rest) for the partitions rest
+    of n - k with no part above k.  ``contains`` tests a candidate, such as
+    an injection's image, against both.  ``_sweep_counts`` counts a swept
+    class over S_n by patience-sorting states, pruned by the rule, which
+    holds on every prefix of a permutation it keeps; the module docstring
+    says why ``jobs`` does not split it.  ``per_k(n, k)`` and
     ``total(n)`` are closed forms.  Every callable looks its helpers up when
     called, so patching or rebinding a module-level name reaches it.
     """
@@ -71,9 +72,10 @@ class _Class(NamedTuple):
     def members(self, n: int, k: Optional[int] = None) -> Iterator:
         if self.perms:
             return (x for x in self.base(n) if self.passes(n, x))
-        made = (t for shape in tableaux.partitions(n)
-                if k in (None, shape[0])
-                and (self.shapes is None or self.shapes(shape[0], len(shape), n))
+        shapes = tableaux.partitions(n) if k is None else (
+            (k, *rest) for rest in tableaux.partitions(n - k) if rest[:1] <= (k,))
+        made = (t for shape in shapes
+                if self.shapes is None or self.shapes(shape[0], len(shape), n)
                 for t in tableaux.standard_tableaux(shape))
         return made if self.member is None else filter(self.member, made)
 

@@ -9,9 +9,10 @@ of a hook records whether its largest entry ends the first column (DOWN)
 or the first row (RIGHT).  For l > k + 2 injectivity is all that matters
 downstream, so those maps are realized by deterministic rank arithmetic
 (:func:`_rank_rows`) over the lexicographic order of hooks.
-``hook_preimage`` undoes the map on first rows, case by case, and returns
-None off its image, so a checker proves injectivity by round trips
-instead of remembering every pair.
+``hook_preimage`` runs the map's own recursion backwards on first rows,
+every recursive case being its own inverse, and returns None off its
+image, so a checker proves injectivity by round trips instead of
+remembering every pair.
 
 ``protected_inject`` transports the hook map to tableaux with a fixed
 protected area: the surpluses are pulled off, renumbered into a pair of
@@ -34,6 +35,7 @@ map checks only that its pair lies in its domain, and never its images.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import filterfalse
 from math import comb
 from typing import Callable, Optional, Sequence
@@ -72,15 +74,11 @@ HOOK_BASE_TABLE: dict[tuple[int, Row, Row], tuple[Row, Row]] = {
 
 
 def _comb_rank(sub: Sequence[int], m: int) -> int:
-    """Lexicographic rank of an increasing subset of range(m)."""
-    rank = 0
-    prev = -1
+    """Lexicographic rank of an increasing subset c of range(m): C(m, r) - 1
+    less the subsets after it, of which C(m - 1 - c[t], r - t) agree with it
+    on the first t entries and exceed it at entry t."""
     r = len(sub)
-    for t, c in enumerate(sub):
-        for v in range(prev + 1, c):
-            rank += comb(m - 1 - v, r - 1 - t)
-        prev = c
-    return rank
+    return comb(m, r) - 1 - sum(comb(m - 1 - c, r - t) for t, c in enumerate(sub))
 
 
 def _comb_unrank(rank: int, m: int, r: int) -> tuple[int, ...]:
@@ -99,95 +97,71 @@ def _comb_unrank(rank: int, m: int, r: int) -> tuple[int, ...]:
     return tuple(sub)
 
 
-def _hook_rank(n: int, row: Row) -> int:
-    """Rank of a hook with the given first row among first-row sets of its
-    length, lexicographically."""
-    return _comb_rank(tuple(v - 2 for v in row[1:]), n - 1)
-
-
-def _hook_unrank(n: int, k: int, rank: int) -> Row:
-    return (1,) + tuple(v + 2 for v in _comb_unrank(rank, n - 1, k - 1))
-
-
 def _rank_rows(n: int, row1: Row, row2: Row, k: int, l: int) -> Optional[tuple[Row, Row]]:
-    """The rows of lengths (k, l) at the pair's mixed-radix rank: the ranks
-    i, j of row1, row2 give i * C(n-1, len(row2)-1) + j, whose divmod by
-    C(n-1, l-1) ranks them; None when the quotient ranks no row of length k.
-    The map moves lengths one step closer, its preimage moves them back.
-    Injective, and never None from the map, because binomials are
-    log-concave: C(n-1, k-2) C(n-1, l) <= C(n-1, k-1) C(n-1, l-1)."""
+    """The rows of lengths (k, l) at the pair's mixed-radix rank.  A first
+    row of a hook is 1 and a subset of 2..n, ranked lexicographically
+    (:func:`_comb_rank`); the ranks i, j of row1, row2 give
+    i * C(n-1, len(row2)-1) + j, whose divmod by C(n-1, l-1) ranks the new
+    rows.  None unless 1 <= k and l <= n and the quotient ranks a row of
+    length k.  The map moves lengths one step closer, its preimage moves
+    them back.  Injective, and never None from the map, because binomials
+    are log-concave: C(n-1, k-2) C(n-1, l) <= C(n-1, k-1) C(n-1, l-1)."""
+    if k < 1 or l > n:
+        return None
     i, j = divmod(
-        _hook_rank(n, row1) * comb(n - 1, len(row2) - 1) + _hook_rank(n, row2),
+        _comb_rank([v - 2 for v in row1[1:]], n - 1) * comb(n - 1, len(row2) - 1)
+        + _comb_rank([v - 2 for v in row2[1:]], n - 1),
         comb(n - 1, l - 1),
     )
     if i >= comb(n - 1, k - 1):
         return None
-    return _hook_unrank(n, k, i), _hook_unrank(n, l, j)
+    return tuple((1, *(v + 2 for v in _comb_unrank(rank, n - 1, length - 1)))
+                 for rank, length in ((i, k), (j, l)))
 
 
-def _inject_rows(n: int, row1: Row, row2: Row) -> tuple[Row, Row]:
-    """Core recursion on first-row entry tuples; sizes and gap already
-    validated by the caller."""
-    if n <= 4:
-        return HOOK_BASE_TABLE[(n, row1, row2)]
-    if len(row2) > len(row1) + 2:
-        return _rank_rows(n, row1, row2, len(row1) + 1, len(row2) - 1)
-    right1 = row1[-1] == n
-    right2 = row2[-1] == n
-    if not right1 and right2:
-        # Largest entry moves from column end to row end in the first hook
-        # and the other way in the second; swapping the results restores
-        # the original pair type.
-        return (row2[:-1], row1 + (n,))
-    if not right1 and not right2:
-        return _inject_rows(n - 1, row1, row2)
-    if right1 and not right2:
-        u1, u2 = _inject_rows(n - 1, row1[:-1], row2)
-        return (u1 + (n,), u2)
-    u1, u2 = _inject_rows(n - 1, row1[:-1], row2[:-1])
-    return (u1 + (n,), u2 + (n,))
-
-
-# The anchor tables inverted: (n, first row of U1, first row of U2) to the
-# first rows of the pair mapped there.
-_HOOK_BASE_PREIMAGE: dict[tuple[int, Row, Row], tuple[Row, Row]] = {
-    (n, *image): (row1, row2) for (n, row1, row2), image in HOOK_BASE_TABLE.items()
+# The anchor tables by direction: 1 maps first rows, -1 takes an image's
+# first rows back to the pair mapped there.
+_HOOK_BASE: dict[int, dict[tuple[int, Row, Row], tuple[Row, Row]]] = {
+    1: HOOK_BASE_TABLE,
+    -1: {(n, *image): (row1, row2) for (n, row1, row2), image in HOOK_BASE_TABLE.items()},
 }
 
 
-def _preimage_rows(n: int, u1: Row, u2: Row) -> Optional[tuple[Row, Row]]:
-    """:func:`_inject_rows` undone, case by case; both rows start at 1 and
-    u1 is no longer than u2."""
+def _hook_rows(n: int, row1: Row, row2: Row, step: int) -> Optional[tuple[Row, Row]]:
+    """The hook map on first rows for step 1, its preimage for step -1:
+    both rows start at 1, and the map's caller has checked its domain.
+    Each recursive case is its own inverse, so one recursion runs both
+    ways; None where the preimage finds no pair."""
     if n <= 4:
-        return _HOOK_BASE_PREIMAGE.get((n, u1, u2))
-    if len(u2) > len(u1):
-        k, l = len(u1) - 1, len(u2) + 1
-        return _rank_rows(n, u1, u2, k, l) if k >= 1 and l <= n else None
-    # A gap of 2 maps to equal lengths, and whether each image row ends in n
-    # names the case of _inject_rows that made it.
-    right1 = u1[-1] == n
-    right2 = u2[-1] == n
-    if not right1 and right2:
-        return (u2[:-1], u1 + (n,))
-    if not right1 and not right2:
-        return _preimage_rows(n - 1, u1, u2)
-    back = _preimage_rows(n - 1, u1[:-1], u2[:-1] if right2 else u2)
+        return _HOOK_BASE[step].get((n, row1, row2))
+    if len(row2) - len(row1) > 1 + step:
+        return _rank_rows(n, row1, row2, len(row1) + step, len(row2) - step)
+    # Lengths (k, k + 2) and their images (k + 1, k + 1): whether each row
+    # ends in n names the case.
+    right2 = row2[-1] == n
+    if row1[-1] != n:
+        # When only row2 ends in n, the largest entry moves from column end
+        # to row end in the first hook and the other way in the second;
+        # swapping the results restores the original pair type.
+        return (row2[:-1], row1 + (n,)) if right2 else _hook_rows(n - 1, row1, row2, step)
+    back = _hook_rows(n - 1, row1[:-1], row2[:-1] if right2 else row2, step)
     if back is None:
         return None
-    return (back[0] + (n,), back[1] + (n,) if right2 else back[1])
+    return back[0] + (n,), back[1] + (n,) if right2 else back[1]
 
 
 def hook_preimage(n: int, row1: Row, row2: Row) -> Optional[tuple[Row, Row]]:
     """The first rows of the pair of hooks of size n that the hook map sends
     to the pair with first rows (row1, row2), or None if no pair is sent
-    there.  The exact inverse of the map on the first rows of hooks; no
-    ``Tableau`` is built.  An empty row, a row not starting at 1, a row
-    longer than n or a first row longer than the second gives None; other
-    malformed rows give None, ValueError or a pair that does not map back.
+    there: the map's own recursion run backwards, the exact inverse of the
+    map on the first rows of hooks; no ``Tableau`` is built.  An empty row,
+    a row not starting at 1, a row longer than n or a first row longer than
+    the second gives None; other malformed rows give None, ValueError or a
+    pair that does not map back.
     """
     if row1[:1] != (1,) or row2[:1] != (1,) or not len(row1) <= len(row2) <= n:
         return None
-    return _preimage_rows(n, row1, row2)
+    return _hook_rows(n, row1, row2, -1)
 
 
 def _size(rows1: tuple[Row, ...], rows2: tuple[Row, ...]) -> int:
@@ -214,7 +188,7 @@ def hook_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     for t, name in ((t1, "t1"), (t2, "t2")):
         if not is_hook(t):
             raise ValueError(f"{name} is not a hook: {t}")
-    r1, r2 = _inject_rows(n, rows1[0], rows2[0])
+    r1, r2 = _hook_rows(n, rows1[0], rows2[0], 1)
     return hook_from_first_row(n, r1), hook_from_first_row(n, r2)
 
 
@@ -266,7 +240,7 @@ def protected_inject(t1: Tableau, t2: Tableau) -> tuple[Tableau, Tableau]:
     for t, name, dec in zip((t1, t2), ("t1", "t2"), decs):
         if not dec.is_protected(l, m):
             raise ValueError(f"{name} is not ({l}, {m})-protected: {t}")
-    return _through_hooks(decs, _inject_rows)
+    return _through_hooks(decs, partial(_hook_rows, step=1))
 
 
 def protected_preimage(u1: Tableau, u2: Tableau) -> Optional[tuple[Rows, Rows]]:

@@ -297,6 +297,22 @@ def test_protected_enumerates_every_shape_in_partition_order():
             assert list(enumerate_class(label, n)) == expect
 
 
+def test_a_side_walks_only_the_partitions_of_n_minus_k(monkeypatch):
+    # members(n, k) is members(n) with first row k, in the same order, and
+    # asks partitions for n - k alone, not for every shape of n.
+    for label in ("hooks", "two_row_tableaux", "protected24_tableaux",
+                  "hook_plus_box_tableaux"):
+        row = census._CLASSES[label]
+        for n in range(1, 8):
+            every = list(row.members(n))
+            for k in range(-1, n + 2):
+                assert list(row.members(n, k)) == [t for t in every if len(t.rows[0]) == k]
+    asked, real = [], tableaux.partitions
+    monkeypatch.setattr(tableaux, "partitions", lambda n: asked.append(n) or real(n))
+    list(census._CLASSES["two_row_tableaux"].members(11, 7))
+    assert asked == [4]
+
+
 @pytest.mark.parametrize("label", sorted(census._CLASSES))
 def test_shape_sums_serve_all_permutations_and_involutions_only(label):
     # Row insertion gives a permutation two tableaux of one shape and an

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,7 +8,7 @@ from ulamdist.injections import (
     HOOK_BASE_TABLE,
     _comb_rank,
     _comb_unrank,
-    _inject_rows,
+    _hook_rows,
     _rank_rows,
     hook_inject,
     hook_preimage,
@@ -109,6 +110,19 @@ class TestHookInjectRecursion:
                             domain += 1
                     assert len(images) == domain
 
+    def test_map_values_are_pinned_for_sizes_5_to_10(self):
+        # Every admissible pair of first rows, r1 outer, rows ordered by
+        # length and then lexicographically, against the recorded digest.
+        digest, pairs = hashlib.sha256(), 0
+        for n in range(5, 11):
+            for r1, r2 in itertools.product(hook_rows(n), repeat=2):
+                if len(r2) >= len(r1) + 2:
+                    digest.update(repr((n, r1, r2, _hook_rows(n, r1, r2, 1))).encode())
+                    pairs += 1
+        assert pairs == 82_377
+        assert digest.hexdigest() == (
+            "525f0664ca832264510b8e6d59287e095fae800a28795b5cc3d2c545837f716a")
+
     def test_domain_errors(self):
         col5 = parse_tableau("1/2/3/4/5")
         square = Tableau(((1, 3), (2, 4)))
@@ -168,7 +182,7 @@ class TestHookPreimage:
             pairs = 0
             for r1, r2 in itertools.product(hook_rows(n), repeat=2):
                 if len(r2) >= len(r1) + 2:
-                    assert hook_preimage(n, *_inject_rows(n, r1, r2)) == (r1, r2)
+                    assert hook_preimage(n, *_hook_rows(n, r1, r2, 1)) == (r1, r2)
                     pairs += 1
         assert pairs == 14_893
 
@@ -177,7 +191,7 @@ class TestHookPreimage:
         for n in range(1, 9):
             rows = hook_rows(n)
             images = {
-                _inject_rows(n, r1, r2)
+                _hook_rows(n, r1, r2, 1)
                 for r1, r2 in itertools.product(rows, repeat=2)
                 if len(r2) >= len(r1) + 2
             }
@@ -185,7 +199,7 @@ class TestHookPreimage:
                 back = hook_preimage(n, *u)
                 assert (back is not None) == (u in images), (n, u)
                 if back is not None:
-                    assert _inject_rows(n, *back) == u
+                    assert _hook_rows(n, *back, 1) == u
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_garbage_gives_none_or_value_error(self, n):
